@@ -43,48 +43,36 @@ let heap_test =
            ignore (Geacc_pqueue.Binary_heap.pop_exn h)
          done))
 
-let float_heap_test =
-  Test.make ~name:"float-int-heap push/drop 1k"
-    (Staged.stage (fun () ->
-         let h = Geacc_pqueue.Float_int_heap.create () in
-         for i = 0 to 999 do
-           Geacc_pqueue.Float_int_heap.push h
-             (float_of_int ((i * 7919) mod 1000))
-             i
-         done;
-         let acc = ref 0 in
-         while not (Geacc_pqueue.Float_int_heap.is_empty h) do
-           acc := !acc + Geacc_pqueue.Float_int_heap.min_payload h;
-           Geacc_pqueue.Float_int_heap.drop_min h
-         done;
-         ignore !acc))
-
-(* Dijkstra over a ring-with-chords residual network: every node has a few
-   outgoing arcs, so the run exercises the heap, the arc walk and the
-   reduced-cost arithmetic — the exact inner loop of the min-cost-flow
-   solver. *)
+(* Integer Dijkstra over a ring-with-chords residual network: every node
+   has a few outgoing arcs, so the run exercises the bucket queue, the arc
+   walk and the reduced-cost arithmetic — the exact inner loop of the
+   min-cost-flow solver. *)
 let dijkstra_graph =
   lazy
     (let n = 1000 in
      let g = Geacc_flow.Graph.create ~num_nodes:n in
      for v = 0 to n - 1 do
-       let add d cost =
+       let add d icost =
          ignore
            (Geacc_flow.Graph.add_arc g ~src:v ~dst:((v + d) mod n) ~capacity:2
-              ~cost)
+              ~icost)
        in
-       add 1 1.0;
-       add 7 (3.0 +. float_of_int (v mod 5));
-       add 131 (10.0 +. float_of_int (v mod 11))
+       add 1 1;
+       add 7 (3 + (v mod 5));
+       add 131 (10 + (v mod 11))
      done;
      g)
 
 let dijkstra_test =
-  Test.make ~name:"dijkstra (1k nodes, 3k arcs)"
+  Test.make ~name:"dijkstra_int (1k nodes, 3k arcs)"
     (Staged.stage (fun () ->
          let g = Lazy.force dijkstra_graph in
-         ignore
-           (Geacc_flow.Shortest_path.dijkstra g ~source:0 ~stop_at:(500) ())))
+         let n = Geacc_flow.Graph.node_count g in
+         Geacc_flow.Shortest_path.dijkstra_int g ~source:0
+           ~pi:(Array.make n 0) ~dist:(Array.make n 0)
+           ~parent_arc:(Array.make n 0)
+           ~queue:(Geacc_pqueue.Int_bucket_queue.create ())
+           ~stop_at:500 ()))
 
 let kd_test =
   let points =
@@ -114,17 +102,6 @@ let mcf_build_test ~jobs =
     (Staged.stage (fun () ->
          let instance = Lazy.force mcf_instance in
          ignore (Geacc_core.Mincostflow.build_network ~jobs instance)))
-
-(* Dense vs similarity-pruned construction at jobs=1, isolating the
-   network-build strategies the solver chooses between. *)
-let mcf_build_network_test network =
-  Test.make
-    ~name:
-      (Printf.sprintf "MCF %s network build (100x1000)"
-         (Geacc_core.Mincostflow.network_name network))
-    (Staged.stage (fun () ->
-         let instance = Lazy.force mcf_instance in
-         ignore (Geacc_core.Mincostflow.build_network ~jobs:1 ~network instance)))
 
 let kd_build_points =
   lazy
@@ -162,13 +139,10 @@ let tests =
       armed_solver_test "Prune-GEACC armed budget (5x12)" Solver.Prune
         tiny_instance;
       heap_test;
-      float_heap_test;
       dijkstra_test;
       kd_test;
       mcf_build_test ~jobs:1;
       mcf_build_test ~jobs:4;
-      mcf_build_network_test Geacc_core.Mincostflow.Dense;
-      mcf_build_network_test Geacc_core.Mincostflow.Sparse;
       kd_build_test ~jobs:1;
       kd_build_test ~jobs:4;
     ]

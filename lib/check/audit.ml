@@ -92,7 +92,7 @@ module Flow = struct
         (G.out_end g (n - 1))
         m;
     (* Positions: a permutation of the arc ids, each agreeing with the arc
-       store on src/dst/cost, with the positional residual capacity
+       store on src/dst/icost, with the positional residual capacity
        mirroring the arc-indexed one. *)
     let seen = Array.make (Stdlib.max m 1) false in
     for v = 0 to n - 1 do
@@ -112,12 +112,6 @@ module Flow = struct
         if G.pos_dst g p <> G.dst g a then
           failf ~site "CSR position %d: dst %d <> arc %d's dst %d" p
             (G.pos_dst g p) a (G.dst g a);
-        if
-          Int64.bits_of_float (G.pos_cost g p)
-          <> Int64.bits_of_float (G.cost g a)
-        then
-          failf ~site "CSR position %d: cost %h <> arc %d's cost %h" p
-            (G.pos_cost g p) a (G.cost g a);
         if G.pos_icost g p <> G.icost g a then
           failf ~site "CSR position %d: icost %d <> arc %d's icost %d" p
             (G.pos_icost g p) a (G.icost g a);
@@ -132,23 +126,8 @@ module Flow = struct
       done
     done
 
-  let slack = 1e-6
-
-  let check_reduced_costs ~site g ~potential =
-    let m = G.arc_count g in
-    for a = 0 to m - 1 do
-      if G.residual_capacity g a > 0 then begin
-        let rc =
-          G.cost g a +. potential.(G.src g a) -. potential.(G.dst g a)
-        in
-        if rc < -.slack then
-          failf ~site "arc %d (%d -> %d) has negative reduced cost %.9f" a
-            (G.src g a) (G.dst g a) rc
-      end
-    done
-
-  (* Integer twin: the quantised potentials telescope exactly, so there is
-     no slack — any negative integer reduced cost is a bug. *)
+  (* The integer potentials telescope exactly, so there is no slack — any
+     negative reduced cost is a bug. *)
   let check_reduced_costs_int ~site g ~potential =
     let m = G.arc_count g in
     for a = 0 to m - 1 do
@@ -157,7 +136,7 @@ module Flow = struct
           G.icost g a + potential.(G.src g a) - potential.(G.dst g a)
         in
         if rc < 0 then
-          failf ~site "arc %d (%d -> %d) has negative integer reduced cost %d"
+          failf ~site "arc %d (%d -> %d) has negative reduced cost %d"
             a (G.src g a) (G.dst g a) rc
       end
     done
@@ -171,10 +150,6 @@ module Heap = struct
   let check_pairing ~site h =
     if not (Geacc_pqueue.Pairing_heap.check_invariant h) then
       fail ~site "pairing heap order or size violated"
-
-  let check_float_int ~site h =
-    if not (Geacc_pqueue.Float_int_heap.check_invariant h) then
-      fail ~site "float-int heap order violated"
 
   let check_bucket ~site q =
     if not (Geacc_pqueue.Int_bucket_queue.check_invariant q) then

@@ -17,7 +17,8 @@
 
 exception Violation of { site : string; detail : string }
 (** An invariant broke. [site] names the algorithm step that was executing
-    (e.g. ["Mcf.solve/augment"]), [detail] says which invariant and where. *)
+    (e.g. ["Mincostflow.solve/augment"]), [detail] says which invariant and
+    where. *)
 
 val enabled : unit -> bool
 (** Current gate. Initialised from [GEACC_AUDIT] at startup. *)
@@ -53,23 +54,18 @@ module Flow : sig
   (** Net flow is zero at every node other than [source] and [sink], and
       source outflow equals sink inflow. *)
 
-  val check_reduced_costs :
-    site:string -> Geacc_flow.Graph.t -> potential:float array -> unit
-  (** Johnson reduced cost [cost a + pi(src a) - pi(dst a)] is non-negative
-      (within floating-point slack) on every arc with residual capacity —
-      the precondition for running Dijkstra on the residual network. *)
-
   val check_reduced_costs_int :
     site:string -> Geacc_flow.Graph.t -> potential:int array -> unit
-  (** Integer twin of {!check_reduced_costs} over the quantised
-      {!Geacc_flow.Graph.icost} column — exact, zero slack: the integer
-      potential update telescopes without roundoff. *)
+  (** Johnson reduced cost [icost a + pi(src a) - pi(dst a)] is
+      non-negative on every arc with residual capacity — the precondition
+      for running Dijkstra on the residual network. Exact, zero slack: the
+      integer potential update telescopes without roundoff. *)
 
   val check_csr :
     site:string -> Geacc_flow.Graph.t -> unit
   (** The CSR form is current and faithful: offsets are monotone and tile
       [\[0, arc_count)], positions are a permutation of the arc ids whose
-      dst/cost/icost agree bitwise with the arc store, and the positional
+      dst/icost agree with the arc store, and the positional
       residual capacities mirror the arc-indexed ones (the invariant
       {!Geacc_flow.Graph.push} maintains in place). Fails when
       {!Geacc_flow.Graph.csr_valid} is false — run it only after
@@ -80,7 +76,6 @@ end
 module Heap : sig
   val check_binary : site:string -> 'a Geacc_pqueue.Binary_heap.t -> unit
   val check_pairing : site:string -> 'a Geacc_pqueue.Pairing_heap.t -> unit
-  val check_float_int : site:string -> Geacc_pqueue.Float_int_heap.t -> unit
 
   val check_bucket :
     site:string -> Geacc_pqueue.Int_bucket_queue.t -> unit

@@ -188,18 +188,21 @@ let user_neighbor t ~u ~rank =
 
 let prepare_event_queries t = ignore (event_source t : source)
 
-(* Similarity-pruned candidate set of one event, for the sparse network
-   builder: every user with [sim > 0] (and [>= min_sim]), ascending user
-   id. Unlike [event_neighbor] this touches no per-node caches — the
-   indexed path opens a fresh stream per call and the scanned path computes
-   directly — so after [prepare_event_queries] has forced the shared
-   (read-only) index, concurrent calls from pool workers are safe.
+(* Similarity-pruned candidate set of one event, for the flow network
+   builder: every user with [sim > 0], ascending user id. Unlike
+   [event_neighbor] this touches no per-node caches — the indexed path
+   opens a fresh stream per call and the scanned path computes directly —
+   so after [prepare_event_queries] has forced the shared (read-only)
+   index, concurrent calls from pool workers are safe.
 
    The indexed path recovers similarities through the distance profile,
    whose contract ([sim_of_dist (dist lv lu) = eval lv lu]) makes them
    bitwise-identical to [sim t ~v ~u]; monotonicity lets the collection
-   stop at the first rank whose similarity falls below the gate. *)
-let candidate_users t ~v ~min_sim =
+   stop at the first rank whose similarity reaches 0. Both paths pass
+   every value through the [injected_sim] chokepoint under a fault plan,
+   so [sim.*] plans reach the flow build; the stream still stops on the
+   clean value, so a poisoned read never hides later candidates. *)
+let candidate_users t ~v =
   match t.event_queries with
   | None ->
       invalid_arg "Instance.candidate_users: call prepare_event_queries first"
@@ -215,9 +218,14 @@ let candidate_users t ~v ~min_sim =
         | None -> ()
         | Some (u, dist) ->
             let s = profile.Similarity.sim_of_dist dist in
-            if s > 0. && s >= min_sim then begin
-              acc := (u, s) :: !acc;
-              incr count;
+            if s > 0. then begin
+              let s =
+                if Geacc_robust.Fault.active () then injected_sim s else s
+              in
+              if s > 0. then begin
+                acc := (u, s) :: !acc;
+                incr count
+              end;
               go (rank + 1)
             end
       in
@@ -237,7 +245,7 @@ let candidate_users t ~v ~min_sim =
       let acc = ref [] in
       for u = n - 1 downto 0 do
         let s = sim t ~v ~u in
-        if s > 0. && s >= min_sim then acc := (u, s) :: !acc
+        if s > 0. then acc := (u, s) :: !acc
       done;
       Array.of_list !acc
 

@@ -65,12 +65,13 @@ val prepare_event_queries : t -> unit
     only read shared state. Must run before querying candidates from pool
     workers — the lazy initialisation itself is not thread-safe. *)
 
-val candidate_users : t -> v:int -> min_sim:float -> (int * float) array
+val candidate_users : t -> v:int -> (int * float) array
 (** The similarity-pruned candidate users of event [v]: every [(u, s)] with
-    [s = sim t ~v ~u], [s > 0] and [s >= min_sim], in ascending user id.
-    Similarities are bitwise-identical to {!sim} (when no fault plan is
-    poisoning it). Unlike {!event_neighbor} this writes no per-node caches:
-    after {!prepare_event_queries}, concurrent calls are safe.
+    [s = sim t ~v ~u] and [s > 0], in ascending user id. Similarities are
+    bitwise-identical to {!sim}; under a fault plan each read passes
+    through the same [sim.*] injection point as {!sim}. Unlike
+    {!event_neighbor} this writes no per-node caches: after
+    {!prepare_event_queries}, concurrent calls are safe.
     @raise Invalid_argument before {!prepare_event_queries} has run. *)
 
 val with_backend : t -> Geacc_index.Nn_backend.t -> t

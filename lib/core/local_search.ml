@@ -6,7 +6,7 @@ type stats = { rounds : int; moves_accepted : int; gained : float }
    banned pair — by (sim, v, u) order.
 
    Candidates come from the instance's NN-index neighbour streams (the same
-   query the sparse flow builder uses), which enumerate exactly the
+   query the flow network builder uses), which enumerate exactly the
    positive-similarity counterparts in descending similarity with ties by
    id — so zero-similarity pairs, never feasible, are skipped up front, and
    each side's scan can stop as soon as the stream similarity falls

@@ -4,69 +4,27 @@ module Audit = Geacc_check.Audit
 module Fault = Geacc_robust.Fault
 module Pool = Geacc_par.Pool
 
-type network = Dense | Sparse
-
-let network_name = function Dense -> "dense" | Sparse -> "sparse"
-
-let network_of_string s =
-  match String.lowercase_ascii s with
-  | "dense" -> Ok Dense
-  | "sparse" -> Ok Sparse
-  | s -> Error (Printf.sprintf "unknown network %S (expected dense or sparse)" s)
-
-type cost_kernel = Float_kernel | Int_kernel
-
-let kernel_name = function Float_kernel -> "float" | Int_kernel -> "int"
-
-let kernel_of_string s =
-  match String.lowercase_ascii s with
-  | "float" -> Ok Float_kernel
-  | "int" -> Ok Int_kernel
-  | s ->
-      Error (Printf.sprintf "unknown cost kernel %S (expected float or int)" s)
-
-(* Quantisation grid: costs 1 - sim ∈ [0, 1] round to [0, 2^30] and the
-   float column stores the de-quantised grid point q/2^30 — not the raw
-   float — so the two columns are the same number in two encodings. Grid
-   points are dyadic rationals exactly representable as doubles, and
-   while magnitudes stay inside [Mcf.exactness_guard] every sum either
-   kernel forms is exact, so the kernels order every comparison
-   identically (DESIGN.md §15). Rounding moves each cost by at most
-   2^-31 ≈ 5e-10 — the same lossless-in-practice band as the τ = 0
-   similarity gate. *)
-let cost_scale = 1 lsl 30
+(* Quantisation grid: costs 1 - sim ∈ [0, 1] round to [0, 2^30], the
+   ceiling [Mcf.max_cost] the SSP overflow bound is derived for. Rounding
+   moves each cost by at most 2^-31 ≈ 5e-10; conflict resolution reads the
+   similarity back as [1 - q / 2^30], a dyadic value exactly representable
+   as a double. *)
+let cost_scale = Mcf.max_cost
 let cost_scale_f = float_of_int cost_scale
-let quantise c = int_of_float (Float.round (c *. cost_scale_f))
 let dequantise q = float_of_int q /. cost_scale_f
 
-(* Process-wide defaults, settable by front ends (mirrors
-   [Pool.set_default_jobs]): explicit arguments always win. The initial
-   values honour GEACC_NETWORK / GEACC_COST_KERNEL (read once at module
-   init) so CI can sweep a whole test binary across networks and kernels
-   without per-binary CLI plumbing; malformed values read as the built-in
-   default, like GEACC_JOBS (the CLI front ends validate loudly, the
-   library stays total). *)
-let env_default var of_string fallback =
-  match Sys.getenv_opt var with
-  | None -> fallback
-  | Some s -> ( match of_string (String.trim s) with Ok v -> v | Error _ -> fallback)
-
-let network_default = ref (env_default "GEACC_NETWORK" network_of_string Sparse)
-let min_sim_default = ref 0.
-
-let kernel_default =
-  ref (env_default "GEACC_COST_KERNEL" kernel_of_string Int_kernel)
-let default_network () = !network_default
-let set_default_network n = network_default := n
-let default_min_sim () = !min_sim_default
-
-let set_default_min_sim s =
-  if not (s >= 0. && s <= 1.) then
-    invalid_arg "Mincostflow.set_default_min_sim: threshold outside [0, 1]";
-  min_sim_default := s
-
-let default_cost_kernel () = !kernel_default
-let set_default_cost_kernel k = kernel_default := k
+(* A similarity outside [0, 1] (a custom similarity out of contract, or a
+   [sim.huge] fault plan) has no cost on the grid: refuse it rather than
+   let [int_of_float] wrap a non-finite product. *)
+let quantise ~v ~u s =
+  let x = Float.round ((1. -. s) *. cost_scale_f) in
+  if not (x >= 0. && x <= cost_scale_f) then
+    invalid_arg
+      (Printf.sprintf
+         "Mincostflow.build_network: similarity %g of pair (%d,%d) outside \
+          [0, 1]"
+         s v u);
+  int_of_float x
 
 type net = {
   graph : Graph.t;
@@ -74,7 +32,6 @@ type net = {
   sink : int;
   pair_arcs : int;
   dense_pairs : int;
-  network_used : network;
 }
 
 type stats = {
@@ -85,17 +42,15 @@ type stats = {
   pair_arcs : int;
   dense_pairs : int;
   timed_out : bool;
-  kernel_used : cost_kernel;
-  int_fallback : bool;
 }
 
 (* Node layout: 0 = source; 1..|V| = events; |V|+1..|V|+|U| = users; last =
    sink. *)
 
-(* Sparse-build audit: every (v,u) pair the candidate queries pruned must be
-   provably below the similarity gate — an index bug that silently drops a
+(* Build audit: every (v,u) pair the candidate queries pruned must have
+   similarity exactly 0 — an index bug that silently drops a
    matchable pair would otherwise only show up as a worse MaxSum. *)
-let audit_pruned_pairs ~site instance g ~min_sim ~n_v ~n_u =
+let audit_pruned_pairs ~site instance g ~n_v ~n_u =
   let emitted = Array.make (Stdlib.max (n_v * n_u) 1) false in
   Graph.fold_forward_arcs g ~init:() ~f:(fun () a ->
       let s = Graph.src g a and d = Graph.dst g a in
@@ -105,163 +60,93 @@ let audit_pruned_pairs ~site instance g ~min_sim ~n_v ~n_u =
     for u = 0 to n_u - 1 do
       if not emitted.((v * n_u) + u) then begin
         let s = Instance.sim instance ~v ~u in
-        if s > 0. && s >= min_sim then
+        if s > 0. then
           Audit.failf ~site
-            "pruned pair (%d,%d) has similarity %.17g above the gate \
-             (min_sim %.17g)"
-            v u s min_sim
+            "pruned pair (%d,%d) has positive similarity %.17g" v u s
       end
     done
   done
 
-let build_network ?jobs ?network ?min_sim instance =
+let build_network ?jobs instance =
   (* [mcf.alloc] simulates the network arena failing to materialise (the
      arc array is this solver's dominant allocation); the fallback harness
      treats the injected exception as a transient fault. *)
   Fault.inject "mcf.alloc";
-  let network =
-    match network with Some n -> n | None -> !network_default
-  in
-  let min_sim =
-    match min_sim with Some s -> s | None -> !min_sim_default
-  in
-  if not (min_sim >= 0. && min_sim <= 1.) then
-    invalid_arg "Mincostflow.build_network: min_sim outside [0, 1]";
-  (* An active fault plan forces the dense sequential path: the sparse
-     builder never evaluates [Instance.sim] (a poisoned value would just
-     vanish into the pruned set), so replaying a [sim.*] plan in written
-     order requires the dense table, computed sequentially. *)
-  let fault = Fault.active () in
-  let network = if fault then Dense else network in
-  let jobs = if fault then Some 1 else jobs in
+  (* Under a fault plan the candidate queries run sequentially, so [sim.*]
+     hit counters (reached through [Instance.candidate_users]) fire in
+     plan order. *)
+  let jobs = if Fault.active () then Some 1 else jobs in
   let n_v = Instance.n_events instance and n_u = Instance.n_users instance in
   let source = 0 in
   let event_node v = 1 + v in
   let user_node u = 1 + n_v + u in
   let sink = 1 + n_v + n_u in
   let g = Graph.create ~num_nodes:(sink + 1) in
-  let pair_arcs =
-    match network with
-    | Dense ->
-        Graph.reserve g ~arcs:(n_v + (n_v * n_u) + n_u);
-        for v = 0 to n_v - 1 do
-          ignore
-            (Graph.add_arc g ~src:source ~dst:(event_node v)
-               ~capacity:(Instance.event_capacity instance v) ~cost:0.)
-        done;
-        (* The Θ(|V|·|U|) cost table is computed in parallel per user-chunk
-           into pre-sized chunk-local buffers (v-major within the chunk). *)
-        let cost_chunks =
-          Pool.parallel_map_chunked ?jobs ~n:n_u (fun ~lo ~hi ->
-              let width = hi - lo in
-              let buf = Array.make (n_v * width) 0. in
-              for v = 0 to n_v - 1 do
-                let base = v * width in
-                for u = lo to hi - 1 do
-                  (* race: ok — Instance.sim reaches Fault.fire's hit counters only under an installed plan, and fault plans are armed solely by the single-domain robustness tests *)
-                  buf.(base + u - lo) <- 1. -. Instance.sim instance ~v ~u
-                done
-              done;
-              (lo, width, buf))
-        in
-        (* One arc per (v,u) pair, zero-similarity pairs included, as in
-           the paper's construction. Emission is sequential and v-major
-           with u ascending (chunks are contiguous and ordered), so arc ids
-           — and therefore the SSP pivoting order — are identical for every
-           job count. *)
-        for v = 0 to n_v - 1 do
-          for c = 0 to Array.length cost_chunks - 1 do
-            let lo, width, buf = cost_chunks.(c) in
-            for du = 0 to width - 1 do
-              let q = quantise buf.((v * width) + du) in
-              ignore
-                (Graph.add_arc ~icost:q g ~src:(event_node v)
-                   ~dst:(user_node (lo + du)) ~capacity:1
-                   ~cost:(dequantise q))
-            done
-          done
-        done;
-        n_v * n_u
-    | Sparse ->
-        (* Similarity-pruned construction: per event, the candidate query
-           returns exactly the users above the gate, so the event layer
-           emits [Σ_v |cand v|] arcs instead of |V|·|U|. The per-event
-           candidate sets are computed in parallel per event-chunk (each
-           cell a function of its event id alone, so byte-identical for
-           every job count); degree counting then pre-sizes the arc store
-           exactly, and the sequential v-major, u-ascending emission fixes
-           arc ids by (v, u) rank — identical to the dense layout minus the
-           pruned pairs. *)
-        Instance.prepare_event_queries instance;
-        let cand_chunks =
-          Pool.parallel_map_chunked ?jobs ~n:n_v (fun ~lo ~hi ->
-              Array.init (hi - lo) (fun i ->
-                  (* race: ok — candidate_users opens a fresh stream over the shared read-only index; the only mutable reach is Fault.fire's counters, armed solely by single-domain robustness tests *)
-                  Instance.candidate_users instance ~v:(lo + i) ~min_sim))
-        in
-        let pair_arcs =
-          Array.fold_left
-            (fun acc chunk ->
-              Array.fold_left (fun acc c -> acc + Array.length c) acc chunk)
-            0 cand_chunks
-        in
-        Graph.reserve g ~arcs:(n_v + pair_arcs + n_u);
-        for v = 0 to n_v - 1 do
-          ignore
-            (Graph.add_arc g ~src:source ~dst:(event_node v)
-               ~capacity:(Instance.event_capacity instance v) ~cost:0.)
-        done;
-        Array.iteri
-          (fun c chunk ->
-            let lo =
-              (* Chunks tile [0, n_v) contiguously in order; recover the
-                 chunk's base event id from the preceding chunk sizes. *)
-              let base = ref 0 in
-              for i = 0 to c - 1 do
-                base := !base + Array.length cand_chunks.(i)
-              done;
-              !base
-            in
-            Array.iteri
-              (fun i candidates ->
-                let v = lo + i in
-                Array.iter
-                  (fun (u, s) ->
-                    let q = quantise (1. -. s) in
-                    ignore
-                      (Graph.add_arc ~icost:q g ~src:(event_node v)
-                         ~dst:(user_node u) ~capacity:1
-                         ~cost:(dequantise q)))
-                  candidates)
-              chunk)
-          cand_chunks;
-        if Audit.enabled () then
-          audit_pruned_pairs ~site:"Mincostflow.build_network/sparse"
-            instance g ~min_sim ~n_v ~n_u;
-        pair_arcs
+  (* Similarity-pruned construction: per event, the candidate query returns
+     exactly the users with [sim > 0], so the event layer emits
+     [Σ_v |cand v|] arcs instead of |V|·|U|. A zero-similarity arc would
+     cost exactly 1, and the SSP loop stops before any unit whose path
+     cost reaches 1, so no unit of the final flow could ever cross one.
+     The per-event candidate sets are computed in parallel per event-chunk
+     (each cell a function of its event id alone, so byte-identical for
+     every job count); degree counting then pre-sizes the arc store
+     exactly, and the sequential v-major, u-ascending emission fixes arc
+     ids by (v, u) rank. *)
+  Instance.prepare_event_queries instance;
+  let cand_chunks =
+    Pool.parallel_map_chunked ?jobs ~n:n_v (fun ~lo ~hi ->
+        Array.init (hi - lo) (fun i ->
+            (* race: ok — candidate_users opens a fresh stream over the shared read-only index; the only mutable reach is Fault.fire's counters, and a fault plan forces jobs = 1 *)
+            Instance.candidate_users instance ~v:(lo + i)))
   in
+  let pair_arcs =
+    Array.fold_left
+      (fun acc chunk ->
+        Array.fold_left (fun acc c -> acc + Array.length c) acc chunk)
+      0 cand_chunks
+  in
+  Graph.reserve g ~arcs:(n_v + pair_arcs + n_u);
+  for v = 0 to n_v - 1 do
+    ignore
+      (Graph.add_arc g ~src:source ~dst:(event_node v)
+         ~capacity:(Instance.event_capacity instance v) ~icost:0)
+  done;
+  Array.iteri
+    (fun c chunk ->
+      let lo =
+        (* Chunks tile [0, n_v) contiguously in order; recover the chunk's
+           base event id from the preceding chunk sizes. *)
+        let base = ref 0 in
+        for i = 0 to c - 1 do
+          base := !base + Array.length cand_chunks.(i)
+        done;
+        !base
+      in
+      Array.iteri
+        (fun i candidates ->
+          let v = lo + i in
+          Array.iter
+            (fun (u, s) ->
+              ignore
+                (Graph.add_arc g ~src:(event_node v) ~dst:(user_node u)
+                   ~capacity:1 ~icost:(quantise ~v ~u s)))
+            candidates)
+        chunk)
+    cand_chunks;
+  if Audit.enabled () then
+    audit_pruned_pairs ~site:"Mincostflow.build_network" instance g ~n_v
+      ~n_u;
   for u = 0 to n_u - 1 do
     ignore
       (Graph.add_arc g ~src:(user_node u) ~dst:sink
-         ~capacity:(Instance.user_capacity instance u) ~cost:0.)
+         ~capacity:(Instance.user_capacity instance u) ~icost:0)
   done;
-  {
-    graph = g;
-    source;
-    sink;
-    pair_arcs;
-    dense_pairs = n_v * n_u;
-    network_used = network;
-  }
+  { graph = g; source; sink; pair_arcs; dense_pairs = n_v * n_u }
 
-let solve_with_stats ?deadline ?jobs ?network ?min_sim ?cost_kernel instance
-    =
+let solve_with_stats ?deadline ?jobs instance =
   let n_v = Instance.n_events instance in
   let n_u = Instance.n_users instance in
-  let kernel =
-    match cost_kernel with Some k -> k | None -> !kernel_default
-  in
-  let net = build_network ?jobs ?network ?min_sim instance in
+  let net = build_network ?jobs instance in
   let g = net.graph and source = net.source and sink = net.sink in
   (* A unit of flow adds 1 - path_cost to MaxSum; path costs only grow, so
      stopping before the first non-improving unit lands on the Δ with the
@@ -272,11 +157,6 @@ let solve_with_stats ?deadline ?jobs ?network ?min_sim ?cost_kernel instance
     Graph.finalize_csr g;
     Audit.Flow.check_csr ~site:"Mincostflow.solve/finalize" g
   end;
-  let audit_after_dijkstra ~potential =
-    if Audit.enabled () then
-      Audit.Flow.check_reduced_costs ~site:"Mincostflow.solve/dijkstra" g
-        ~potential
-  in
   let audit_after_augment () =
     if Audit.enabled () then begin
       let site = "Mincostflow.solve/augment" in
@@ -286,59 +166,34 @@ let solve_with_stats ?deadline ?jobs ?network ?min_sim ?cost_kernel instance
       Audit.Flow.check_csr ~site g
     end
   in
-  let audit_after_dijkstra_int ~potential =
+  let audit_after_dijkstra ~potential =
     if Audit.enabled () then
-      Audit.Flow.check_reduced_costs_int ~site:"Mincostflow.solve/dijkstra-int"
+      Audit.Flow.check_reduced_costs_int ~site:"Mincostflow.solve/dijkstra"
         g ~potential
   in
-  let solve_float () =
-    Mcf.solve g ~source ~sink ?deadline
-      ~should_augment:(fun ~path_cost -> path_cost < 1.)
-      ~audit_after_dijkstra ~audit_after_augment ()
-  in
-  (* Both columns of every arc hold the same dyadic grid value, so within
-     the magnitude guard the integer run provably mirrors the float
-     kernel's comparisons (DESIGN.md §15); [None] means the instance left
-     that regime — discard the partial flow and recompute in float. The
-     guard override exists for tests to force this path. *)
-  let guard =
-    match Sys.getenv_opt "GEACC_INT_KERNEL_GUARD" with
-    | Some s -> ( match int_of_string_opt s with Some g -> g | None -> Mcf.exactness_guard)
-    | None -> Mcf.exactness_guard
-  in
-  let outcome, kernel_used, int_fallback =
-    match kernel with
-    | Float_kernel -> (solve_float (), Float_kernel, false)
-    | Int_kernel -> (
-        match
-          Mcf.solve_int g ~source ~sink ?deadline ~guard
-            ~stop_below:cost_scale
-            ~audit_after_dijkstra:audit_after_dijkstra_int
-            ~audit_after_augment ()
-        with
-        | Some io ->
-            ( {
-                Mcf.flow = io.Mcf.iflow;
-                cost = float_of_int io.Mcf.icost /. cost_scale_f;
-                augmentations = io.Mcf.iaugmentations;
-                timed_out = io.Mcf.itimed_out;
-              },
-              Int_kernel,
-              false )
-        | None ->
-            Graph.reset_flow g;
-            (solve_float (), Float_kernel, true))
+  (* [None] means the network left [Mcf.solve_int]'s overflow bound (2^31
+     nodes or more, or a flow cost past max_int; [quantise] already keeps
+     every arc cost on [0, 2^30]). There is no other kernel to hand it to. *)
+  let outcome =
+    match
+      Mcf.solve_int g ~source ~sink ?deadline ~stop_below:cost_scale
+        ~audit_after_dijkstra ~audit_after_augment ()
+    with
+    | Some o -> o
+    | None ->
+        invalid_arg
+          "Mincostflow.solve: network outside the integer SSP overflow bound"
   in
   (* M_∅: pairs carrying flow with positive similarity. The similarity is
-     recovered from the stored arc cost (s = 1 - cost) instead of being
-     recomputed; [s > 0] iff [cost < 1], exactly the build-time gate. *)
+     recovered from the stored arc cost (s = 1 - q / 2^30) instead of being
+     recomputed; [s > 0] iff [q < 2^30], exactly the build-time gate. *)
   let assigned = Array.make n_u [] in
   Graph.fold_forward_arcs g ~init:() ~f:(fun () a ->
       let sv = Graph.src g a in
       if sv >= 1 && sv <= n_v then begin
         let d = Graph.dst g a in
         if d > n_v && d < sink && Graph.flow g a = 1 then begin
-          let s = 1. -. Graph.cost g a in
+          let s = 1. -. dequantise (Graph.icost g a) in
           if s > 0. then begin
             let u = d - 1 - n_v in
             assigned.(u) <- (sv - 1, s) :: assigned.(u)
@@ -374,20 +229,18 @@ let solve_with_stats ?deadline ?jobs ?network ?min_sim ?cost_kernel instance
           end)
         sorted)
     assigned;
-  if outcome.Mcf.timed_out then
+  if outcome.Mcf.itimed_out then
     Validate.audit_matching ~site:"Mincostflow.solve/degraded" matching;
   ( matching,
     {
-      flow_value = outcome.Mcf.flow;
-      flow_cost = outcome.Mcf.cost;
-      augmentations = outcome.Mcf.augmentations;
+      flow_value = outcome.Mcf.iflow;
+      flow_cost = dequantise outcome.Mcf.icost;
+      augmentations = outcome.Mcf.iaugmentations;
       dropped_pairs = !dropped;
       pair_arcs = net.pair_arcs;
       dense_pairs = net.dense_pairs;
-      timed_out = outcome.Mcf.timed_out;
-      kernel_used;
-      int_fallback;
+      timed_out = outcome.Mcf.itimed_out;
     } )
 
-let solve ?deadline ?jobs ?network ?min_sim ?cost_kernel instance =
-  fst (solve_with_stats ?deadline ?jobs ?network ?min_sim ?cost_kernel instance)
+let solve ?deadline ?jobs instance =
+  fst (solve_with_stats ?deadline ?jobs instance)

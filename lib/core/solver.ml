@@ -52,13 +52,13 @@ let is_exact = function
   | Online ->
       false
 
-let run ?rng ?deadline ?network algorithm instance =
+let run ?rng ?deadline algorithm instance =
   let rng =
     match rng with Some r -> r | None -> Geacc_util.Rng.create ~seed:42
   in
   match algorithm with
   | Greedy -> fst (Greedy.solve_anytime ?deadline instance)
-  | Min_cost_flow -> Mincostflow.solve ?deadline ?network instance
+  | Min_cost_flow -> Mincostflow.solve ?deadline instance
   | Prune -> Exact.solve_prune ?deadline instance
   | Exhaustive -> Exact.solve_exhaustive ?deadline instance
   | Random_v -> Random_baseline.random_v ~rng instance

@@ -36,7 +36,6 @@ val is_exact : algorithm -> bool
 val run :
   ?rng:Geacc_util.Rng.t ->
   ?deadline:Geacc_robust.Budget.t ->
-  ?network:Mincostflow.network ->
   algorithm ->
   Instance.t ->
   Matching.t
@@ -45,7 +44,5 @@ val run :
     budget-aware algorithms ({!Greedy}, {!Min_cost_flow}, {!Prune},
     {!Exhaustive}) anytime — on expiry they return their best feasible
     matching so far; the remaining algorithms already run in (low)
-    polynomial time and ignore it. [network] selects the flow-network
-    construction of {!Min_cost_flow} (default
-    {!Mincostflow.default_network}); the other algorithms ignore it. Use
-    {!Anytime.solve} to also learn whether the result was degraded. *)
+    polynomial time and ignore it. Use {!Anytime.solve} to also learn
+    whether the result was degraded. *)

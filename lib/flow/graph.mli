@@ -1,6 +1,6 @@
 (** Residual flow network.
 
-    Arcs carry an integer capacity and a real cost per unit of flow. Every
+    Arcs carry an integer capacity and an integer cost per unit of flow. Every
     call to {!add_arc} also creates the paired residual arc (zero capacity,
     negated cost); pushing flow moves capacity between the pair. Arc ids are
     dense integers; the residual partner of arc [a] is [a lxor 1], forward
@@ -25,22 +25,19 @@ val reserve : t -> arcs:int -> unit
     allocation instead of a doubling cascade. Purely an optimisation — arc
     ids and contents are unaffected. *)
 
-val add_arc :
-  ?icost:int -> t -> src:int -> dst:int -> capacity:int -> cost:float -> arc
+val add_arc : t -> src:int -> dst:int -> capacity:int -> icost:int -> arc
 (** Adds a forward arc and its residual partner; returns the forward arc id.
-    Requires [capacity >= 0] and valid node ids. [icost] (default 0) is the
-    quantised integer twin of [cost], stored in a parallel column for the
-    integer SSP kernel; the residual partner carries its negation, exactly
-    mirroring the float cost pairing. The graph never relates the two
-    columns — the builder owns the quantisation contract. *)
+    Requires [capacity >= 0] and valid node ids. [icost] is the arc's
+    integer cost per unit (the [Mincostflow] network builder stores
+    [1 - sim] quantised to its [2^30] grid); the residual partner carries
+    its negation. *)
 
 val src : t -> arc -> int
 val dst : t -> arc -> int
-val cost : t -> arc -> float
 
 val icost : t -> arc -> int
-(** Quantised integer cost of an arc (the [icost] given to {!add_arc},
-    negated on residual partners). *)
+(** Integer cost of an arc (the [icost] given to {!add_arc}, negated on
+    residual partners). *)
 
 val residual_capacity : t -> arc -> int
 (** Remaining capacity of [a] in the residual network. *)
@@ -81,8 +78,8 @@ val fold_forward_arcs : t -> init:'a -> f:('a -> arc -> 'a) -> 'a
 (** {2 CSR finalization}
 
     {!finalize_csr} compacts the arc store into struct-of-arrays
-    [dst]/[cost]/[residual_cap] arrays grouped per source node by an offset
-    table, so the traversal kernels (Bellman–Ford, Dijkstra, BFS) scan the
+    [dst]/[icost]/[residual_cap] arrays grouped per source node by an offset
+    table, so the traversal kernels (Dijkstra, BFS) scan the
     contiguous position range [\[out_begin n, out_end n)] instead of
     chasing [next] links. Arc ids are unchanged — positions carry their arc
     id ({!pos_arc}), the [a lxor 1] residual pairing is untouched, and
@@ -109,11 +106,8 @@ val out_end : t -> int -> int
 val pos_dst : t -> int -> int
 (** Destination of the arc at a CSR position. *)
 
-val pos_cost : t -> int -> float
-(** Cost of the arc at a CSR position. *)
-
 val pos_icost : t -> int -> int
-(** Quantised integer cost of the arc at a CSR position. *)
+(** Integer cost of the arc at a CSR position. *)
 
 val pos_residual_capacity : t -> int -> int
 (** Residual capacity of the arc at a CSR position — kept current by
@@ -142,11 +136,8 @@ val arc_position : t -> arc -> int
 val unsafe_csr_dst : t -> int array
 (** Positional [dst] slice. Requires {!csr_valid}. *)
 
-val unsafe_csr_cost : t -> float array
-(** Positional cost slice. Requires {!csr_valid}. *)
-
 val unsafe_csr_icost : t -> int array
-(** Positional quantised-integer-cost slice. Requires {!csr_valid}. *)
+(** Positional integer-cost slice. Requires {!csr_valid}. *)
 
 val unsafe_csr_cap : t -> int array
 (** Positional residual-capacity slice. Requires {!csr_valid}. *)

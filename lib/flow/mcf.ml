@@ -5,123 +5,6 @@ module Budget = Geacc_robust.Budget
    facts those proofs rest on. See DESIGN.md §13. *)
 module A = Geacc_unsafe
 
-type outcome = {
-  flow : int;
-  cost : float;
-  augmentations : int;
-  timed_out : bool;
-}
-
-exception Negative_cycle
-
-let has_negative_arc g =
-  Graph.fold_forward_arcs g ~init:false ~f:(fun acc a ->
-      acc || (Graph.residual_capacity g a > 0 && Graph.cost g a < 0.))
-
-let initial_potential g ~source =
-  if not (has_negative_arc g) then Array.make (Graph.node_count g) 0.
-  else
-    match Shortest_path.bellman_ford g ~source with
-    | None -> raise Negative_cycle
-    | Some { dist; _ } ->
-        (* Unreachable nodes keep potential 0; they have no residual arcs
-           from the reachable region, so their reduced costs never matter. *)
-        Array.map (fun d -> if Float.equal d infinity then 0. else d) dist
-
-let solve g ~source ~sink ?(deadline = Budget.unlimited) ?target_flow
-    ?(should_augment = fun ~path_cost:_ -> true)
-    ?(on_augment = fun ~units:_ ~path_cost:_ -> `Continue)
-    ?(audit_after_dijkstra = fun ~potential:_ -> ())
-    ?(audit_after_augment = fun () -> ()) () =
-  assert (source <> sink);
-  let n = Graph.node_count g in
-  assert (0 <= source && source < n && 0 <= sink && sink < n);
-  let pi = initial_potential g ~source in
-  assert (Array.length pi = n);
-  let total_flow = ref 0 in
-  let total_cost = ref 0. in
-  let augmentations = ref 0 in
-  let want_more () =
-    match target_flow with None -> true | Some t -> !total_flow < t
-  in
-  let continue = ref true in
-  let timed_out = ref false in
-  (* Scratch refs for the augmentation walks, hoisted out of the loop. *)
-  let bottleneck = ref max_int in
-  let v = ref sink in
-  while !continue && want_more () do
-    (* Deadline poll between augmentations: each iteration runs a full
-       Dijkstra, so read the clock every time rather than batching. *)
-    if Budget.check_now deadline then begin
-      timed_out := true;
-      continue := false
-    end
-    else begin
-    let { Shortest_path.dist; parent_arc } =
-      Shortest_path.dijkstra g ~source ~potential:pi ~stop_at:sink ()
-    in
-    if Float.equal dist.(sink) infinity then continue := false
-    else begin
-      (* True source->sink path cost, before the potential update. *)
-      let path_cost = dist.(sink) +. pi.(sink) -. pi.(source) in
-      if not (should_augment ~path_cost) then continue := false
-      else begin
-      (* Keep reduced costs non-negative for the next round: cap distance
-         contributions at the sink's distance. *)
-      let cap = dist.(sink) in
-      assert (Array.length dist = Array.length pi);
-      for u = 0 to Array.length dist - 1 do
-        (* bounds: proved — u < |dist| = |pi| (asserted above) *)
-        let d = A.unsafe_get dist u in
-        (* bounds: proved — u < |pi| = |dist| (asserted above) *)
-        A.unsafe_set pi u (A.unsafe_get pi u +. (if d < cap then d else cap))
-      done;
-      audit_after_dijkstra ~potential:pi;
-      (* Bottleneck along the shortest path. *)
-      bottleneck := max_int;
-      v := sink;
-      assert (Array.length parent_arc = n);
-      while !v <> source do
-        (* bounds: proved — v stays in [0, n) = [0, |parent_arc|): sink is asserted, Graph.src returns node ids *)
-        let a = A.unsafe_get parent_arc !v in
-        assert (a >= 0);
-        let r = Graph.residual_capacity g a in
-        if r < !bottleneck then bottleneck := r;
-        v := Graph.src g a
-      done;
-      let units =
-        match target_flow with
-        | None -> !bottleneck
-        | Some t -> Int.min !bottleneck (t - !total_flow)
-      in
-      assert (units > 0);
-      v := sink;
-      while !v <> source do
-        (* bounds: proved — v stays in [0, n) = [0, |parent_arc|): sink is asserted, Graph.src returns node ids *)
-        let a = A.unsafe_get parent_arc !v in
-        Graph.push g a units;
-        v := Graph.src g a
-      done;
-      total_flow := !total_flow + units;
-      total_cost := !total_cost +. (float_of_int units *. path_cost);
-      incr augmentations;
-      audit_after_augment ();
-      (match on_augment ~units ~path_cost with
-      | `Continue -> ()
-      | `Stop -> continue := false)
-      end
-    end
-    end
-  done;
-  {
-    flow = !total_flow;
-    cost = !total_cost;
-    augmentations = !augmentations;
-    timed_out = !timed_out;
-  }
-
-(* ---------- integer kernel ---------- *)
-
 type int_outcome = {
   iflow : int;
   icost : int;          (* total cost in quantisation-grid units *)
@@ -129,39 +12,33 @@ type int_outcome = {
   itimed_out : bool;
 }
 
-let has_negative_int_arc g =
-  Graph.fold_forward_arcs g ~init:false ~f:(fun acc a ->
-      acc || (Graph.residual_capacity g a > 0 && Graph.icost g a < 0))
+let max_cost = 1 lsl 30
+let max_nodes = 1 lsl 31
 
-(* Magnitude ceiling for the exactness argument: while every potential
-   stays below it (and the node count below 2^21), all keys the two
-   kernels ever compare stay below 2^53, where double arithmetic on the
-   2^30 dyadic grid is exact — the float kernel computes bit-identical
-   values, so the kernels order every comparison identically. Grossly
-   conservative: potentials grow by at most one path cost (a few grid
-   units, ~2^32) per augmentation, so reaching 2^48 would take millions
-   of augmentations. *)
-let exactness_guard = 1 lsl 48
+(* Entry check for the overflow bound derived in mcf.mli: every arc with
+   residual capacity must cost within [0, max_cost], so the all-zero
+   potential reduces non-negatively and no path sum can leave int range. *)
+let costs_in_range g =
+  let ok = ref true in
+  for a = 0 to Graph.arc_count g - 1 do
+    if Graph.residual_capacity g a > 0 then begin
+      let c = Graph.icost g a in
+      if c < 0 || c > max_cost then ok := false
+    end
+  done;
+  !ok
 
-let solve_int g ~source ~sink ?(deadline = Budget.unlimited)
-    ?(guard = exactness_guard) ?stop_below
+let solve_int g ~source ~sink ?(deadline = Budget.unlimited) ?stop_below
     ?(audit_after_dijkstra = fun ~potential:_ -> ())
     ?(audit_after_augment = fun () -> ()) () =
   assert (source <> sink);
   let n = Graph.node_count g in
   assert (0 <= source && source < n && 0 <= sink && sink < n);
-  (* The integer kernel has no Bellman–Ford twin: it requires the initial
-     all-zero potential to already reduce non-negatively, i.e. no
-     capacitated forward arc with negative quantised cost. The assignment
-     networks satisfy this by construction (costs 1 - sim >= 0); anything
-     else is the caller's cue to run the float kernel. The node-count
-     bound keeps worst-case keys (n path arcs of at most one grid unit,
-     plus two potentials under the guard) inside the exact range. *)
-  if has_negative_int_arc g || n >= 1 lsl 21 then None
+  if n >= max_nodes || not (costs_in_range g) then None
   else begin
     let pi = Array.make n 0 in
-    (* Scratch for every Dijkstra pass, allocated once per solve — unlike
-       the float kernel, the passes themselves allocate nothing. *)
+    (* Scratch for every Dijkstra pass, allocated once per solve: the
+       passes themselves allocate nothing. *)
     let dist = Array.make n max_int in
     let parent_arc = Array.make n (-1) in
     let queue = Geacc_pqueue.Int_bucket_queue.create () in
@@ -170,12 +47,13 @@ let solve_int g ~source ~sink ?(deadline = Budget.unlimited)
     let augmentations = ref 0 in
     let continue = ref true in
     let timed_out = ref false in
-    let uncertain = ref false in
+    let overflow = ref false in
     let bottleneck = ref max_int in
-    let pi_max = ref 0 in
     let v = ref sink in
     while !continue do
-      (* Deadline poll between augmentations, as in the float loop. *)
+      (* Deadline poll between augmentations: each iteration runs a full
+         Dijkstra, so read the clock every time rather than batching. An
+         expiry never interrupts a path push. *)
       if Budget.check_now deadline then begin
         timed_out := true;
         continue := false
@@ -186,9 +64,7 @@ let solve_int g ~source ~sink ?(deadline = Budget.unlimited)
         if dist.(sink) = max_int then continue := false
         else begin
           (* True source->sink path cost, before the potential update —
-             exact integer arithmetic, the potentials telescope. The stop
-             rule is exact too: the float kernel compares the same dyadic
-             value against the same ceiling. *)
+             exact integer arithmetic, the potentials telescope. *)
           let path_cost = dist.(sink) + pi.(sink) - pi.(source) in
           let stop_here =
             match stop_below with
@@ -197,28 +73,16 @@ let solve_int g ~source ~sink ?(deadline = Budget.unlimited)
           in
           if stop_here then continue := false
           else begin
+            (* Keep reduced costs non-negative for the next pass: cap
+               distance contributions at the sink's distance. *)
             let cap = dist.(sink) in
-            pi_max := 0;
             assert (Array.length dist = Array.length pi);
             for u = 0 to Array.length dist - 1 do
               (* bounds: proved — u < |dist| = |pi| (asserted above) *)
               let d = A.unsafe_get dist u in
-              let np =
-                (* bounds: proved — u < |pi| = |dist| (asserted above) *)
-                A.unsafe_get pi u + (if d < cap then d else cap)
-              in
-              if np > !pi_max then pi_max := np;
               (* bounds: proved — u < |pi| = |dist| (asserted above) *)
-              A.unsafe_set pi u np
+              A.unsafe_set pi u (A.unsafe_get pi u + (if d < cap then d else cap))
             done;
-            if !pi_max >= guard then begin
-              (* Potentials left the exact range: the float mirror could
-                 round, so the remaining passes are no longer certified.
-                 Stop before augmenting along this pass's tree. *)
-              uncertain := true;
-              continue := false
-            end
-            else begin
             audit_after_dijkstra ~potential:pi;
             bottleneck := max_int;
             v := sink;
@@ -233,23 +97,31 @@ let solve_int g ~source ~sink ?(deadline = Budget.unlimited)
             done;
             let units = !bottleneck in
             assert (units > 0);
-            v := sink;
-            while !v <> source do
-              (* bounds: proved — v stays in [0, n) = [0, |parent_arc|): sink is asserted, Graph.src returns node ids *)
-              let a = A.unsafe_get parent_arc !v in
-              Graph.push g a units;
-              v := Graph.src g a
-            done;
-            total_flow := !total_flow + units;
-            total_cost := !total_cost + (units * path_cost);
-            incr augmentations;
-            audit_after_augment ()
+            (* The running total is the current flow's cost, which node
+               count alone does not bound (see mcf.mli): refuse to wrap. *)
+            if path_cost > 0 && units > (max_int - !total_cost) / path_cost
+            then begin
+              overflow := true;
+              continue := false
+            end
+            else begin
+              v := sink;
+              while !v <> source do
+                (* bounds: proved — v stays in [0, n) = [0, |parent_arc|): sink is asserted, Graph.src returns node ids *)
+                let a = A.unsafe_get parent_arc !v in
+                Graph.push g a units;
+                v := Graph.src g a
+              done;
+              total_flow := !total_flow + units;
+              total_cost := !total_cost + (units * path_cost);
+              incr augmentations;
+              audit_after_augment ()
             end
           end
         end
       end
     done;
-    if !uncertain then None
+    if !overflow then None
     else
       Some
         {

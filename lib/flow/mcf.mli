@@ -1,100 +1,86 @@
-(** Minimum-cost flow by successive shortest paths (SSP) with potentials.
+(** Minimum-cost flow by successive shortest paths (SSP) with potentials,
+    over the integer {!Graph.icost} column.
 
     Each augmentation pushes flow along a minimum-cost residual path, so
     after the k-th unit the network carries a min-cost flow of amount k —
-    the per-Δ prefix property MinCostFlow-GEACC relies on (see DESIGN.md §5).
-    Negative arc costs are supported: potentials are seeded with one
-    Bellman–Ford pass; subsequent iterations use Dijkstra on reduced costs,
-    giving O(F · E log V) for total flow F. *)
+    the per-Δ prefix property MinCostFlow-GEACC relies on (see DESIGN.md
+    §5). Every pass is one {!Shortest_path.dijkstra_int} on reduced costs
+    with integer Johnson potentials, starting from the all-zero potential
+    (costs are non-negative, so no Bellman–Ford seeding is needed), giving
+    O(F · E · 63) for total flow F.
 
-type outcome = {
-  flow : int;            (** Total units routed. *)
-  cost : float;          (** Total cost of the routed flow. *)
-  augmentations : int;   (** Number of augmenting paths used. *)
-  timed_out : bool;      (** [true] when [deadline] expired: the flow is a
-                             min-cost flow of its (smaller) amount, not of
-                             the requested one. *)
-}
+    {2 Overflow bound}
 
-exception Negative_cycle
-(** Raised when the initial network has a negative-cost cycle reachable from
-    the source (min-cost flow is then unbounded below). *)
-
-val solve :
-  Graph.t ->
-  source:int ->
-  sink:int ->
-  ?deadline:Geacc_robust.Budget.t ->
-  ?target_flow:int ->
-  ?should_augment:(path_cost:float -> bool) ->
-  ?on_augment:(units:int -> path_cost:float -> [ `Continue | `Stop ]) ->
-  ?audit_after_dijkstra:(potential:float array -> unit) ->
-  ?audit_after_augment:(unit -> unit) ->
-  unit ->
-  outcome
-(** Augments until the sink is unreachable, [target_flow] is met,
-    [should_augment] refuses, [on_augment] answers [`Stop], or [deadline]
-    (default: unlimited) expires. The deadline is polled once per iteration,
-    {e between} augmentations — an expiry never interrupts a path push, so
-    the flow left in the graph is always consistent (capacity- and
-    conservation-clean) and optimal for its own amount; the outcome is then
-    flagged [timed_out].
-    [should_augment] is consulted {e before} pushing along a found path —
-    since path costs are non-decreasing across augmentations, refusing once
-    ends the run with the flow untouched by that path (this is how
-    MinCostFlow-GEACC stops at the Δ maximising MaxSum). [on_augment] fires
-    after each augmentation with the units pushed and the (true,
-    non-reduced) per-unit path cost. The flow pushed so far stays in the
-    graph — read it back with {!Graph.flow}.
-
-    The audit hooks default to no-ops and exist so callers can inject
-    invariant checkers (see [Geacc_check.Audit]) without this library
-    depending on them: [audit_after_dijkstra] fires once per iteration right
-    after the Johnson potentials are updated, [audit_after_augment] after
-    each augmentation's flow push. *)
+    All arithmetic is in OCaml's 63-bit [int] ([max_int = 2^62 - 1]). Let
+    [C = max_cost = 2^30] and [n] the node count. {!solve_int} requires at
+    entry that every arc with residual capacity costs in [\[0, C\]]
+    (residual partners of unused arcs have no capacity, so their negated
+    costs are never read). Then, at every pass:
+    - the residual network has no negative cycle (the SSP invariant), so
+      the true shortest distance [D(v)] of every reached node is the cost
+      of a simple path of at most [n - 1] arcs of cost at most [C] in
+      absolute value: [|D(v)| <= (n - 1)·C];
+    - potentials start at 0, only grow, and never exceed the sink's
+      ([pi(v) <= pi(sink) = D(sink)] by induction over the capped update),
+      so [0 <= pi(v) <= (n - 1)·C];
+    - a reduced arc cost is [icost + pi(u) - pi(v) <= C + (n - 1)·C = n·C]
+      (its partial sum [icost + pi(u)] too), a settled reduced distance is
+      [D(u) - pi(u) <= (n - 1)·C], so every key [d + rc] stays below
+      [2·n·C];
+    - the path cost [D(sink)] and every updated potential stay within
+      [(n - 1)·C].
+    Every value is therefore below [2·n·C = n·2^31], which fits in
+    [max_int] exactly when [n < 2^31] ({!max_nodes}). The running total
+    cost is the current flow's cost [Σ flow(a)·icost(a)], which grows with
+    the flow value as well as [n]; it is checked before each push instead. *)
 
 type int_outcome = {
   iflow : int;           (** Total units routed. *)
-  icost : int;           (** Total cost, in quantisation-grid units. *)
+  icost : int;           (** Total cost, in {!Graph.icost} units. *)
   iaugmentations : int;  (** Number of augmenting paths used. *)
-  itimed_out : bool;     (** [true] when [deadline] expired (see {!solve}). *)
+  itimed_out : bool;     (** [true] when [deadline] expired: the flow is a
+                             min-cost flow of its (smaller) amount, not of
+                             the one the stop rule would have reached. *)
 }
 
-val exactness_guard : int
-(** Default [guard] for {!solve_int} ([2^48]): while every potential stays
-    below it and the node count below [2^21], every value either kernel
-    computes stays below [2^53], where double arithmetic on the [2^30]
-    dyadic cost grid is exact. *)
+val max_cost : int
+(** [2^30]: the largest arc cost {!solve_int} accepts. *)
+
+val max_nodes : int
+(** [2^31]: {!solve_int} refuses networks with this many nodes or more
+    (see the overflow bound above). *)
 
 val solve_int :
   Graph.t ->
   source:int ->
   sink:int ->
   ?deadline:Geacc_robust.Budget.t ->
-  ?guard:int ->
   ?stop_below:int ->
   ?audit_after_dijkstra:(potential:int array -> unit) ->
   ?audit_after_augment:(unit -> unit) ->
   unit ->
   int_outcome option
-(** Integer twin of {!solve}, running {!Shortest_path.dijkstra_int} on the
-    quantised {!Graph.icost} column with integer potentials (exact — no
-    reduced-cost clamp, no Bellman–Ford seeding: the initial all-zero
-    potential must already reduce non-negatively, which holds for the
-    assignment networks where every forward cost is [1 - sim >= 0]).
+(** Augments until the sink is unreachable, the next path cost reaches
+    [stop_below], or [deadline] (default: unlimited) expires.
 
-    [stop_below] is the integer form of {!solve}'s [should_augment]: keep
-    augmenting while the integer path cost is strictly below it (for the
-    MaxSum stop rule [path_cost < 1.], pass the quantisation scale).
+    [stop_below] is checked {e before} pushing along a found path — since
+    path costs are non-decreasing across augmentations, refusing once ends
+    the run with the flow untouched by that path (for MinCostFlow-GEACC's
+    MaxSum stop rule [path_cost < 1], pass the quantisation scale). The
+    deadline is polled once per iteration, {e between} augmentations — an
+    expiry never interrupts a path push, so the flow left in the graph is
+    always consistent (capacity- and conservation-clean) and optimal for
+    its own amount; the outcome is then flagged [itimed_out]. The flow
+    pushed stays in the graph — read it back with {!Graph.flow}.
 
-    Returns [None] — with partially pushed flow still in the graph, so
-    callers must {!Graph.reset_flow} before falling back to the float
-    kernel — when the instance leaves the regime where the integer run
-    provably mirrors the float one on the same dyadic cost column: a
-    capacitated negative-[icost] arc at entry, a node count at or above
-    [2^21], or a potential reaching [guard] (default {!exactness_guard};
-    tests shrink it to force the fallback path). Within that regime both
-    kernels order every cost comparison identically, so a [Some] outcome
-    is a min-cost flow of the same value and total cost — to the bit —
-    as the float kernel's; among exactly tied shortest-path trees the two
-    may pick different (equal-cost) augmenting paths. *)
+    Returns [None] outside the overflow bound: a node count of at least
+    {!max_nodes}, an arc with residual capacity whose cost lies outside
+    [\[0, max_cost\]] (checked at entry, before any push), or a push that
+    would take the total cost past [max_int] (the flow pushed before it
+    stays in the graph).
+
+    The audit hooks default to no-ops and exist so callers can inject
+    invariant checkers (see [Geacc_check.Audit]) without this library
+    depending on them: [audit_after_dijkstra] fires once per iteration
+    right after the potentials are updated, [audit_after_augment] after
+    each augmentation's flow push. *)

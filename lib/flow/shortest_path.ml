@@ -1,7 +1,3 @@
-type result = { dist : float array; parent_arc : int array }
-
-module Heap = Geacc_pqueue.Float_int_heap
-
 (* The relaxation kernels index the raw CSR slices and the node-indexed
    scratch arrays through [Geacc_unsafe] under stage-4 licences: positions
    come from [out_begin u <= p < out_end u <= arc_count <= |slice|] and
@@ -10,87 +6,6 @@ module Heap = Geacc_pqueue.Float_int_heap
    Audit.Flow.check_csr verifies at runtime. `--profile safe` compiles the
    same sites back to checked accesses. See DESIGN.md §13. *)
 module A = Geacc_unsafe
-
-let dijkstra g ~source ?potential ?stop_at () =
-  Graph.finalize_csr g;
-  let n = Graph.node_count g in
-  let dist = Array.make n infinity in
-  let parent_arc = Array.make n (-1) in
-  let settled = Array.make n false in
-  (* Specialised inner loop: the potential is always consulted as a plain
-     array (all zeros when absent) and the reduced cost is computed inline,
-     so each relaxation is three array reads and two float ops — no
-     per-node callback closure, no boxed intermediate. Adjacency comes from
-     the CSR form: one contiguous position scan per settled node. *)
-  let pi =
-    match potential with Some pi -> pi | None -> Array.make n 0.
-  in
-  assert (Array.length pi = n);
-  (* bounds: proved — slice fetched under csr_valid (finalize_csr above) *)
-  let csr_dst = Graph.unsafe_csr_dst g in
-  (* bounds: proved — slice fetched under csr_valid (finalize_csr above) *)
-  let csr_cost = Graph.unsafe_csr_cost g in
-  (* bounds: proved — slice fetched under csr_valid (finalize_csr above) *)
-  let csr_cap = Graph.unsafe_csr_cap g in
-  (* bounds: proved — slice fetched under csr_valid (finalize_csr above) *)
-  let csr_arc = Graph.unsafe_csr_arc g in
-  let stop = match stop_at with Some s -> s | None -> -1 in
-  let heap = Heap.create () in
-  dist.(source) <- 0.;
-  Heap.push heap 0. source;
-  let finished = ref false in
-  let p = ref 0 in
-  (* poll: ok — one Dijkstra pass is the SSP unit of work; Mcf.solve polls before every pass *)
-  while not !finished do
-    if Heap.is_empty heap then finished := true
-    else begin
-      let d = Heap.min_key heap in
-      let u = Heap.min_payload heap in
-      Heap.drop_min heap;
-      if not settled.(u) then begin
-        settled.(u) <- true;
-        assert (d = dist.(u));
-        if u = stop then finished := true
-        else begin
-          (* The potential is read-only for the whole pass, so the settled
-             node's entry is hoisted out of its arc scan. *)
-          let pi_u = pi.(u) in
-          p := Graph.out_begin g u;
-          let stop_p = Graph.out_end g u in
-          while !p < stop_p do
-            (* bounds: proved — p < out_end <= arc_count <= |csr_cap| *)
-            if A.unsafe_get csr_cap !p > 0 then begin
-              (* bounds: proved — p < out_end <= arc_count <= |csr_dst| *)
-              let v = A.unsafe_get csr_dst !p in
-              (* bounds: proved — v = csr_dst.(p) < node_count = |settled| *)
-              if not (A.unsafe_get settled v) then begin
-                let rc =
-                  (* bounds: proved — p < arc_count <= |csr_cost|; v < node_count = |pi| *)
-                  A.unsafe_get csr_cost !p +. pi_u -. A.unsafe_get pi v
-                in
-                (* Reduced costs must be non-negative; tolerate tiny
-                   floating-point slack from potential updates. *)
-                let rc = if rc < 0. then (assert (rc > -1e-9); 0.) else rc in
-                let nd = d +. rc in
-                (* bounds: proved — v = csr_dst.(p) < node_count = |dist| *)
-                if nd < A.unsafe_get dist v then begin
-                  (* bounds: proved — v < node_count = |dist| *)
-                  A.unsafe_set dist v nd;
-                  (* bounds: proved — v < node_count = |parent_arc|; p < arc_count <= |csr_arc| *)
-                  A.unsafe_set parent_arc v (A.unsafe_get csr_arc !p);
-                  Heap.push heap nd v
-                end
-              end
-            end;
-            incr p
-          done
-        end
-      end
-    end
-  done;
-  { dist; parent_arc }
-
-(* ---------- integer kernel ---------- *)
 
 module Q = Geacc_pqueue.Int_bucket_queue
 
@@ -119,7 +34,7 @@ let dijkstra_int g ~source ~pi ~dist ~parent_arc ~queue ?stop_at () =
      [stop] path nor be expanded before [stop] settles, and since the SSP
      potential update caps every contribution at the stop node's final
      distance, dropping it leaves the potentials — and hence every later
-     pass — exactly as the unpruned (float) kernel computes them. Ties
+     pass — exactly as an unpruned search computes them. Ties
      ([nd = stop_dist]) are kept: zero-reduced-cost suffixes put them on
      shortest stop paths. Without [stop_at] the bound stays [max_int] and
      nothing is pruned. *)
@@ -130,7 +45,7 @@ let dijkstra_int g ~source ~pi ~dist ~parent_arc ~queue ?stop_at () =
      settled node can never be re-improved because reduced costs are
      exactly non-negative. *)
   let finished = ref false in
-  (* poll: ok — one Dijkstra pass is the SSP unit of work; Mcf.solve polls before every pass *)
+  (* poll: ok — one Dijkstra pass is the SSP unit of work; Mcf.solve_int polls before every pass *)
   while not !finished do
     if Q.is_empty queue then finished := true
     else begin
@@ -153,8 +68,8 @@ let dijkstra_int g ~source ~pi ~dist ~parent_arc ~queue ?stop_at () =
                 A.unsafe_get csr_icost p + pi_u - A.unsafe_get pi v
               in
               (* Integer reduced costs are exactly non-negative: the SSP
-                 potential update telescopes without roundoff, so unlike
-                 the float kernel there is no clamp. *)
+                 potential update telescopes without roundoff, so there is
+                 no clamp. *)
               assert (rc >= 0);
               let nd = d + rc in
               (* bounds: proved — v = csr_dst.(p) < node_count = |dist| *)
@@ -172,53 +87,3 @@ let dijkstra_int g ~source ~pi ~dist ~parent_arc ~queue ?stop_at () =
       end
     end
   done
-
-let bellman_ford g ~source =
-  Graph.finalize_csr g;
-  let n = Graph.node_count g in
-  let dist = Array.make n infinity in
-  let parent_arc = Array.make n (-1) in
-  (* bounds: proved — slice fetched under csr_valid (finalize_csr above) *)
-  let csr_dst = Graph.unsafe_csr_dst g in
-  (* bounds: proved — slice fetched under csr_valid (finalize_csr above) *)
-  let csr_cost = Graph.unsafe_csr_cost g in
-  (* bounds: proved — slice fetched under csr_valid (finalize_csr above) *)
-  let csr_cap = Graph.unsafe_csr_cap g in
-  (* bounds: proved — slice fetched under csr_valid (finalize_csr above) *)
-  let csr_arc = Graph.unsafe_csr_arc g in
-  dist.(source) <- 0.;
-  let changed = ref true in
-  let rounds = ref 0 in
-  let p = ref 0 in
-  (* poll: ok — bounded by n relaxation rounds; run once per network, on the first SSP pass *)
-  while !changed && !rounds < n do
-    changed := false;
-    incr rounds;
-    for u = 0 to n - 1 do
-      (* bounds: proved — u < n = |dist| *)
-      if A.unsafe_get dist u < infinity then begin
-        p := Graph.out_begin g u;
-        let stop_p = Graph.out_end g u in
-        while !p < stop_p do
-          (* bounds: proved — p < out_end <= arc_count <= |csr_cap| *)
-          if A.unsafe_get csr_cap !p > 0 then begin
-            (* bounds: proved — p < out_end <= arc_count <= |csr_dst| *)
-            let v = A.unsafe_get csr_dst !p in
-            (* bounds: proved — u < n = |dist|; p < arc_count <= |csr_cost| *)
-            let nd = A.unsafe_get dist u +. A.unsafe_get csr_cost !p in
-            (* bounds: proved — v = csr_dst.(p) < node_count = |dist| *)
-            if nd < A.unsafe_get dist v -. 1e-12 then begin
-              (* bounds: proved — v < node_count = |dist| *)
-              A.unsafe_set dist v nd;
-              (* bounds: proved — v < node_count = |parent_arc|; p < arc_count <= |csr_arc| *)
-              A.unsafe_set parent_arc v (A.unsafe_get csr_arc !p);
-              changed := true
-            end
-          end;
-          incr p
-        done
-      end
-    done
-  done;
-  if !changed then None (* still relaxing after n rounds: negative cycle *)
-  else Some { dist; parent_arc }

@@ -16,14 +16,14 @@
    has a strictly lower top bit. Each entry therefore moves down at most
    63 times over its lifetime — amortised O(63) per push/pop pair, with no
    float compares and no sift, which is what lets the integer Dijkstra
-   beat the binary {!Float_int_heap}.
+   beat a binary heap.
 
    The monotonicity contract is Dijkstra's: every pushed key must be at
    least the last popped key (reduced costs are non-negative, so a settled
    node only generates keys at or above its own). [push] enforces it.
 
    Array accesses in the hot paths go through [Geacc_unsafe] under stage-4
-   licences, like the sift loops of [Float_int_heap]. Bucket indices are
+   licences. Bucket indices are
    covered by the fixed 64-slot geometry of the three columns; the
    per-bucket length invariant [0 <= lens.(b) <= |keys.(b)| =
    |payloads.(b)|] lives in nested arrays the analyzer's domain cannot
@@ -168,7 +168,7 @@ let ensure_min t =
     done
   end
 
-(* Unboxed access to the minimum, mirroring {!Float_int_heap}: [min_key] /
+(* Unboxed access to the minimum: [min_key] /
    [min_payload] / [drop_min] let the Dijkstra loop pop without the
    [Some (key, payload)] allocation of [pop]. The three share the
    [ensure_min] restructure, which is idempotent until the next drop. *)

@@ -7,7 +7,6 @@ module Audit = Geacc_check.Audit
 module Graph = Geacc_flow.Graph
 module Binary_heap = Geacc_pqueue.Binary_heap
 module Pairing_heap = Geacc_pqueue.Pairing_heap
-module Float_int_heap = Geacc_pqueue.Float_int_heap
 module Synthetic = Geacc_datagen.Synthetic
 
 let contains haystack needle =
@@ -50,9 +49,9 @@ let test_gate_toggling () =
 (* 0 -> 1 -> 2 -> 3, unit costs, capacity 2 each. *)
 let path_graph () =
   let g = Graph.create ~num_nodes:4 in
-  let a01 = Graph.add_arc g ~src:0 ~dst:1 ~capacity:2 ~cost:1. in
-  let a12 = Graph.add_arc g ~src:1 ~dst:2 ~capacity:2 ~cost:1. in
-  let a23 = Graph.add_arc g ~src:2 ~dst:3 ~capacity:2 ~cost:1. in
+  let a01 = Graph.add_arc g ~src:0 ~dst:1 ~capacity:2 ~icost:1 in
+  let a12 = Graph.add_arc g ~src:1 ~dst:2 ~capacity:2 ~icost:1 in
+  let a23 = Graph.add_arc g ~src:2 ~dst:3 ~capacity:2 ~icost:1 in
   (g, a01, a12, a23)
 
 let test_flow_conservation () =
@@ -82,12 +81,12 @@ let test_flow_capacity_leak () =
 let test_flow_reduced_costs () =
   let g, _, _, _ = path_graph () in
   (* Zero potentials on non-negative costs: healthy. *)
-  Audit.Flow.check_reduced_costs ~site:"test" g ~potential:(Array.make 4 0.);
+  Audit.Flow.check_reduced_costs_int ~site:"test" g ~potential:(Array.make 4 0);
   (* A potential spike makes arc 0->1 look like cost 1 + 0 - 5 < 0. *)
   expect_violation "reduced cost" ~detail_part:"negative reduced cost"
     (fun () ->
-      Audit.Flow.check_reduced_costs ~site:"test" g
-        ~potential:[| 0.; 5.; 0.; 0. |])
+      Audit.Flow.check_reduced_costs_int ~site:"test" g
+        ~potential:[| 0; 5; 0; 0 |])
 
 (* -- heaps --
 
@@ -113,13 +112,6 @@ let test_pairing_heap_invariant () =
   flip := true;
   expect_violation "pairing heap" ~detail_part:"pairing heap" (fun () ->
       Audit.Heap.check_pairing ~site:"test" h)
-
-let test_float_int_heap_invariant () =
-  let h = Float_int_heap.create () in
-  List.iteri (fun i k -> Float_int_heap.push h k i) [ 0.5; 0.1; 0.9; 0.3 ];
-  Audit.Heap.check_float_int ~site:"test" h;
-  Alcotest.(check bool) "float-int heap healthy" true
-    (Float_int_heap.check_invariant h)
 
 (* -- matchings -- *)
 
@@ -228,8 +220,6 @@ let suite =
       test_binary_heap_invariant;
     Alcotest.test_case "pairing heap invariant" `Quick
       test_pairing_heap_invariant;
-    Alcotest.test_case "float-int heap invariant" `Quick
-      test_float_int_heap_invariant;
     Alcotest.test_case "matching conflict detected" `Quick
       test_matching_conflict_detected;
     Alcotest.test_case "matching over capacity detected" `Quick

@@ -12,6 +12,7 @@
 
 module Graph = Geacc_flow.Graph
 module Shortest_path = Geacc_flow.Shortest_path
+module Int_bucket_queue = Geacc_pqueue.Int_bucket_queue
 module Maxflow = Geacc_flow.Maxflow
 module Rng = Geacc_util.Rng
 
@@ -26,7 +27,7 @@ let random_graph ~seed ~nodes ~arcs =
     let (_ : Graph.arc) =
       Graph.add_arc g ~src:s ~dst:d
         ~capacity:(1 + Rng.int rng 4)
-        ~cost:(Rng.float rng 1.)
+        ~icost:(Rng.int rng 1000)
     in
     ()
   done;
@@ -64,10 +65,9 @@ let check_csr_structure ~label g =
       Alcotest.(check int)
         (Printf.sprintf "%s: pos %d dst" label p)
         (Graph.dst g a) (Graph.pos_dst g p);
-      Alcotest.(check int64)
-        (Printf.sprintf "%s: pos %d cost bits" label p)
-        (Int64.bits_of_float (Graph.cost g a))
-        (Int64.bits_of_float (Graph.pos_cost g p));
+      Alcotest.(check int)
+        (Printf.sprintf "%s: pos %d cost" label p)
+        (Graph.icost g a) (Graph.pos_icost g p);
       Alcotest.(check int)
         (Printf.sprintf "%s: pos %d residual cap" label p)
         (Graph.residual_capacity g a)
@@ -123,9 +123,9 @@ let test_residual_pairing_preserved () =
 
 let test_push_updates_mirror () =
   let g = Graph.create ~num_nodes:4 in
-  let a0 = Graph.add_arc g ~src:0 ~dst:1 ~capacity:3 ~cost:0.5 in
-  let a1 = Graph.add_arc g ~src:1 ~dst:2 ~capacity:2 ~cost:0.25 in
-  let _a2 = Graph.add_arc g ~src:2 ~dst:3 ~capacity:1 ~cost:0.125 in
+  let a0 = Graph.add_arc g ~src:0 ~dst:1 ~capacity:3 ~icost:4 in
+  let a1 = Graph.add_arc g ~src:1 ~dst:2 ~capacity:2 ~icost:2 in
+  let _a2 = Graph.add_arc g ~src:2 ~dst:3 ~capacity:1 ~icost:1 in
   Graph.finalize_csr g;
   Graph.push g a0 2;
   Graph.push g a1 1;
@@ -148,12 +148,12 @@ let test_push_updates_mirror () =
 let test_add_arc_invalidates () =
   let g = Graph.create ~num_nodes:3 in
   let (_ : Graph.arc) =
-    Graph.add_arc g ~src:0 ~dst:1 ~capacity:1 ~cost:0.
+    Graph.add_arc g ~src:0 ~dst:1 ~capacity:1 ~icost:0
   in
   Graph.finalize_csr g;
   Alcotest.(check bool) "valid after finalize" true (Graph.csr_valid g);
   let (_ : Graph.arc) =
-    Graph.add_arc g ~src:1 ~dst:2 ~capacity:1 ~cost:0.
+    Graph.add_arc g ~src:1 ~dst:2 ~capacity:1 ~icost:0
   in
   Alcotest.(check bool) "stale after add_arc" false (Graph.csr_valid g);
   Graph.finalize_csr g;
@@ -161,47 +161,45 @@ let test_add_arc_invalidates () =
 
 let test_flow_round_trip () =
   (* A 2x2 transport instance driven through the CSR-backed solvers: the
-     cheapest augmenting path is s->1->3->t (0.1), then s->2->4->t (0.2)
+     cheapest augmenting path is s->1->3->t (1), then s->2->4->t (2)
      after one unit is pushed along the first. *)
   let g = Graph.create ~num_nodes:6 in
   let s = 0 and t = 5 in
-  let (_ : Graph.arc) = Graph.add_arc g ~src:s ~dst:1 ~capacity:2 ~cost:0. in
-  let (_ : Graph.arc) = Graph.add_arc g ~src:s ~dst:2 ~capacity:2 ~cost:0. in
-  let (_ : Graph.arc) =
-    Graph.add_arc g ~src:1 ~dst:3 ~capacity:1 ~cost:0.1
+  let arc ~src ~dst ~capacity ~icost =
+    let (_ : Graph.arc) = Graph.add_arc g ~src ~dst ~capacity ~icost in
+    ()
   in
-  let (_ : Graph.arc) =
-    Graph.add_arc g ~src:1 ~dst:4 ~capacity:1 ~cost:0.4
-  in
-  let (_ : Graph.arc) =
-    Graph.add_arc g ~src:2 ~dst:4 ~capacity:2 ~cost:0.2
-  in
-  let (_ : Graph.arc) = Graph.add_arc g ~src:3 ~dst:t ~capacity:2 ~cost:0. in
-  let (_ : Graph.arc) = Graph.add_arc g ~src:4 ~dst:t ~capacity:2 ~cost:0. in
+  arc ~src:s ~dst:1 ~capacity:2 ~icost:0;
+  arc ~src:s ~dst:2 ~capacity:2 ~icost:0;
+  arc ~src:1 ~dst:3 ~capacity:1 ~icost:1;
+  arc ~src:1 ~dst:4 ~capacity:1 ~icost:4;
+  arc ~src:2 ~dst:4 ~capacity:2 ~icost:2;
+  arc ~src:3 ~dst:t ~capacity:2 ~icost:0;
+  arc ~src:4 ~dst:t ~capacity:2 ~icost:0;
+  let n = Graph.node_count g in
+  let dist = Array.make n 0 and parent_arc = Array.make n 0 in
+  let queue = Int_bucket_queue.create () in
+  (* Zero potentials suffice for both passes: stopping at the sink keeps
+     the second pass from scanning past it into the negative partner arcs
+     the first push opened (only reachable from [t]). *)
   let augment_cheapest expected_cost =
-    let r = Shortest_path.dijkstra g ~source:s () in
-    Alcotest.(check (float 1e-12))
-      (Printf.sprintf "path cost %g" expected_cost)
-      expected_cost r.Shortest_path.dist.(t);
+    Shortest_path.dijkstra_int g ~source:s ~pi:(Array.make n 0) ~dist
+      ~parent_arc ~queue ~stop_at:t ();
+    Alcotest.(check int)
+      (Printf.sprintf "path cost %d" expected_cost)
+      expected_cost dist.(t);
     (* Walk parents back from the sink pushing one unit. *)
     let v = ref t in
     while !v <> s do
-      let a = r.Shortest_path.parent_arc.(!v) in
+      let a = parent_arc.(!v) in
       Graph.push g a 1;
       v := Graph.src g a
     done
   in
-  augment_cheapest 0.1;
+  augment_cheapest 1;
   check_csr_structure ~label:"after first augmentation" g;
-  augment_cheapest 0.2;
+  augment_cheapest 2;
   check_csr_structure ~label:"after second augmentation" g;
-  let b = Shortest_path.bellman_ford g ~source:s in
-  (match b with
-  | None -> Alcotest.fail "unexpected negative cycle"
-  | Some r ->
-      Alcotest.(check (float 1e-12))
-        "bellman-ford agrees on residual" 0.2
-        r.Shortest_path.dist.(t));
   Graph.reset_flow g;
   check_csr_structure ~label:"after reset" g;
   let flow_only = Maxflow.solve g ~source:s ~sink:t in

@@ -1,21 +1,21 @@
-(* Flow substrate: residual graph mechanics, shortest paths (Dijkstra vs
-   Bellman-Ford), Edmonds-Karp, and the SSP min-cost-flow solver checked
-   against brute-force assignment enumeration. *)
+(* Flow substrate: residual graph mechanics, the integer Dijkstra against
+   the textbook Bellman–Ford of [Ssp_oracle], Edmonds-Karp, and the
+   integer SSP min-cost-flow solver checked against brute-force assignment
+   enumeration. *)
 
 open Geacc_flow
 module Rng = Geacc_util.Rng
 
 let test_graph_basics () =
   let g = Graph.create ~num_nodes:3 in
-  let a = Graph.add_arc g ~src:0 ~dst:1 ~capacity:5 ~cost:2. in
-  let b = Graph.add_arc g ~src:1 ~dst:2 ~capacity:3 ~cost:(-1.) in
+  let a = Graph.add_arc g ~src:0 ~dst:1 ~capacity:5 ~icost:2 in
+  let b = Graph.add_arc g ~src:1 ~dst:2 ~capacity:3 ~icost:(-1) in
   Alcotest.(check int) "node count" 3 (Graph.node_count g);
   Alcotest.(check int) "arcs incl. residuals" 4 (Graph.arc_count g);
   Alcotest.(check int) "src" 0 (Graph.src g a);
   Alcotest.(check int) "dst" 1 (Graph.dst g a);
-  Alcotest.(check (float 0.)) "cost" 2. (Graph.cost g a);
-  Alcotest.(check (float 0.)) "residual cost negated" (-2.)
-    (Graph.cost g (a lxor 1));
+  Alcotest.(check int) "cost" 2 (Graph.icost g a);
+  Alcotest.(check int) "residual cost negated" (-2) (Graph.icost g (a lxor 1));
   Alcotest.(check int) "residual capacity" 5 (Graph.residual_capacity g a);
   Alcotest.(check int) "partner starts empty" 0
     (Graph.residual_capacity g (a lxor 1));
@@ -32,8 +32,8 @@ let test_graph_basics () =
 
 let test_graph_excess () =
   let g = Graph.create ~num_nodes:4 in
-  let a1 = Graph.add_arc g ~src:0 ~dst:1 ~capacity:2 ~cost:0. in
-  let a2 = Graph.add_arc g ~src:1 ~dst:2 ~capacity:2 ~cost:0. in
+  let a1 = Graph.add_arc g ~src:0 ~dst:1 ~capacity:2 ~icost:0 in
+  let a2 = Graph.add_arc g ~src:1 ~dst:2 ~capacity:2 ~icost:0 in
   Graph.push g a1 2;
   Graph.push g a2 1;
   Alcotest.(check int) "inner node excess" 1 (Graph.excess g 1);
@@ -41,58 +41,69 @@ let test_graph_excess () =
   Alcotest.(check int) "sink side" 1 (Graph.excess g 2);
   Alcotest.(check int) "isolated node" 0 (Graph.excess g 3)
 
+(* One integer Dijkstra pass from [source] with zero potentials, so the
+   returned distances are true distances. *)
+let dijkstra ?stop_at g ~source =
+  let n = Graph.node_count g in
+  let dist = Array.make n 0 and parent_arc = Array.make n 0 in
+  Shortest_path.dijkstra_int g ~source ~pi:(Array.make n 0) ~dist ~parent_arc
+    ~queue:(Geacc_pqueue.Int_bucket_queue.create ())
+    ?stop_at ();
+  (dist, parent_arc)
+
 (* A small fixed graph with a known shortest-path structure. *)
-let diamond () =
+let diamond ?(cap12 = 10) () =
   let g = Graph.create ~num_nodes:4 in
-  (* 0 -> 1 (1.0), 0 -> 2 (4.0), 1 -> 2 (2.0), 1 -> 3 (6.0), 2 -> 3 (1.0) *)
-  ignore (Graph.add_arc g ~src:0 ~dst:1 ~capacity:10 ~cost:1.);
-  ignore (Graph.add_arc g ~src:0 ~dst:2 ~capacity:10 ~cost:4.);
-  ignore (Graph.add_arc g ~src:1 ~dst:2 ~capacity:10 ~cost:2.);
-  ignore (Graph.add_arc g ~src:1 ~dst:3 ~capacity:10 ~cost:6.);
-  ignore (Graph.add_arc g ~src:2 ~dst:3 ~capacity:10 ~cost:1.);
+  (* 0 -> 1 (1), 0 -> 2 (4), 1 -> 2 (2), 1 -> 3 (6), 2 -> 3 (1) *)
+  ignore (Graph.add_arc g ~src:0 ~dst:1 ~capacity:10 ~icost:1);
+  ignore (Graph.add_arc g ~src:0 ~dst:2 ~capacity:10 ~icost:4);
+  ignore (Graph.add_arc g ~src:1 ~dst:2 ~capacity:cap12 ~icost:2);
+  ignore (Graph.add_arc g ~src:1 ~dst:3 ~capacity:10 ~icost:6);
+  ignore (Graph.add_arc g ~src:2 ~dst:3 ~capacity:10 ~icost:1);
   g
 
 let test_dijkstra_diamond () =
   let g = diamond () in
-  let { Shortest_path.dist; parent_arc } =
-    Shortest_path.dijkstra g ~source:0 ()
-  in
-  Alcotest.(check (array (float 1e-9))) "distances" [| 0.; 1.; 3.; 4. |] dist;
+  let dist, parent_arc = dijkstra g ~source:0 in
+  Alcotest.(check (array int)) "distances" [| 0; 1; 3; 4 |] dist;
   (* Path to 3 goes through 2. *)
   Alcotest.(check int) "parent of 3 comes from 2" 2
     (Graph.src g parent_arc.(3))
 
 let test_dijkstra_respects_capacity () =
-  let g = diamond () in
-  (* Saturate 1 -> 2; shortest to 2 becomes the direct 4.0 arc. *)
-  Graph.iter_out_arcs g 1 (fun a ->
-      if Graph.dst g a = 2 && a land 1 = 0 then Graph.push g a 10);
-  let { Shortest_path.dist; _ } = Shortest_path.dijkstra g ~source:0 () in
-  Alcotest.(check (float 1e-9)) "rerouted distance" 4. dist.(2)
+  (* No capacity on 1 -> 2: shortest to 2 becomes the direct cost-4 arc.
+     (Saturating it by a push would open its negative-cost partner, which
+     zero potentials do not reduce non-negatively.) *)
+  let g = diamond ~cap12:0 () in
+  let dist, _ = dijkstra g ~source:0 in
+  Alcotest.(check int) "rerouted distance" 4 dist.(2)
 
 let test_dijkstra_unreachable () =
   let g = Graph.create ~num_nodes:3 in
-  ignore (Graph.add_arc g ~src:0 ~dst:1 ~capacity:1 ~cost:1.);
-  let { Shortest_path.dist; _ } = Shortest_path.dijkstra g ~source:0 () in
-  Alcotest.(check bool) "node 2 unreachable" true (dist.(2) = infinity)
+  ignore (Graph.add_arc g ~src:0 ~dst:1 ~capacity:1 ~icost:1);
+  let dist, _ = dijkstra g ~source:0 in
+  Alcotest.(check int) "node 2 unreachable" max_int dist.(2)
 
+(* The oracle's Bellman–Ford runs on residual networks, whose partner
+   arcs carry negated costs: it must route through a negative arc and
+   report a reachable negative cycle instead of looping. *)
 let test_bellman_ford_negative () =
-  let g = Graph.create ~num_nodes:3 in
-  ignore (Graph.add_arc g ~src:0 ~dst:1 ~capacity:1 ~cost:5.);
-  ignore (Graph.add_arc g ~src:0 ~dst:2 ~capacity:1 ~cost:1.);
-  ignore (Graph.add_arc g ~src:2 ~dst:1 ~capacity:1 ~cost:(-3.));
-  match Shortest_path.bellman_ford g ~source:0 with
+  let t = Ssp_oracle.create ~n:3 in
+  Ssp_oracle.add_arc t ~src:0 ~dst:1 ~capacity:1 ~cost:5.;
+  Ssp_oracle.add_arc t ~src:0 ~dst:2 ~capacity:1 ~cost:1.;
+  Ssp_oracle.add_arc t ~src:2 ~dst:1 ~capacity:1 ~cost:(-3.);
+  match Ssp_oracle.bellman_ford t ~source:0 with
   | None -> Alcotest.fail "no negative cycle here"
-  | Some { Shortest_path.dist; _ } ->
-      Alcotest.(check (float 1e-9)) "negative arc used" (-2.) dist.(1)
+  | Some (dist, _) ->
+      Alcotest.(check (float 0.)) "negative arc used" (-2.) dist.(1)
 
 let test_bellman_ford_detects_cycle () =
-  let g = Graph.create ~num_nodes:3 in
-  ignore (Graph.add_arc g ~src:0 ~dst:1 ~capacity:1 ~cost:1.);
-  ignore (Graph.add_arc g ~src:1 ~dst:2 ~capacity:5 ~cost:(-4.));
-  ignore (Graph.add_arc g ~src:2 ~dst:1 ~capacity:5 ~cost:1.);
+  let t = Ssp_oracle.create ~n:3 in
+  Ssp_oracle.add_arc t ~src:0 ~dst:1 ~capacity:1 ~cost:1.;
+  Ssp_oracle.add_arc t ~src:1 ~dst:2 ~capacity:5 ~cost:(-4.);
+  Ssp_oracle.add_arc t ~src:2 ~dst:1 ~capacity:5 ~cost:1.;
   Alcotest.(check bool) "negative cycle detected" true
-    (Shortest_path.bellman_ford g ~source:0 = None)
+    (Ssp_oracle.bellman_ford t ~source:0 = None)
 
 let random_graph rng ~n ~arcs =
   let g = Graph.create ~num_nodes:n in
@@ -102,7 +113,7 @@ let random_graph rng ~n ~arcs =
       ignore
         (Graph.add_arc g ~src ~dst
            ~capacity:(1 + Rng.int rng 5)
-           ~cost:(Rng.float rng 10.))
+           ~icost:(Rng.int rng 1000))
   done;
   g
 
@@ -110,30 +121,29 @@ let test_dijkstra_agrees_with_bellman_ford () =
   let rng = Rng.create ~seed:4 in
   for _ = 1 to 50 do
     let g = random_graph rng ~n:8 ~arcs:20 in
-    let d = Shortest_path.dijkstra g ~source:0 () in
-    match Shortest_path.bellman_ford g ~source:0 with
+    let dist, _ = dijkstra g ~source:0 in
+    match Ssp_oracle.bellman_ford (Ssp_oracle.of_graph g) ~source:0 with
     | None -> Alcotest.fail "non-negative costs cannot cycle"
-    | Some b ->
+    | Some (oracle, _) ->
         Array.iteri
-          (fun i dd ->
-            if dd = infinity then
-              Alcotest.(check bool)
-                "both unreachable" true
-                (b.Shortest_path.dist.(i) = infinity)
+          (fun i d ->
+            if d = max_int then
+              Alcotest.(check bool) "both unreachable" true
+                (oracle.(i) = infinity)
             else
-              Alcotest.(check (float 1e-6))
-                "distance agreement" b.Shortest_path.dist.(i) dd)
-          d.Shortest_path.dist
+              Alcotest.(check (float 0.))
+                "distance agreement" oracle.(i) (float_of_int d))
+          dist
   done
 
 let test_maxflow_known () =
   (* Classic: two disjoint augmenting paths plus a cross arc. *)
   let g = Graph.create ~num_nodes:4 in
-  ignore (Graph.add_arc g ~src:0 ~dst:1 ~capacity:3 ~cost:0.);
-  ignore (Graph.add_arc g ~src:0 ~dst:2 ~capacity:2 ~cost:0.);
-  ignore (Graph.add_arc g ~src:1 ~dst:3 ~capacity:2 ~cost:0.);
-  ignore (Graph.add_arc g ~src:2 ~dst:3 ~capacity:3 ~cost:0.);
-  ignore (Graph.add_arc g ~src:1 ~dst:2 ~capacity:1 ~cost:0.);
+  ignore (Graph.add_arc g ~src:0 ~dst:1 ~capacity:3 ~icost:0);
+  ignore (Graph.add_arc g ~src:0 ~dst:2 ~capacity:2 ~icost:0);
+  ignore (Graph.add_arc g ~src:1 ~dst:3 ~capacity:2 ~icost:0);
+  ignore (Graph.add_arc g ~src:2 ~dst:3 ~capacity:3 ~icost:0);
+  ignore (Graph.add_arc g ~src:1 ~dst:2 ~capacity:1 ~icost:0);
   Alcotest.(check int) "max flow 5" 5 (Maxflow.solve g ~source:0 ~sink:3)
 
 let test_maxflow_conservation () =
@@ -148,23 +158,26 @@ let test_maxflow_conservation () =
     Alcotest.(check int) "sink receives the flow" f (Graph.excess g 6)
   done
 
-(* Brute-force minimum-cost perfect assignment over permutations. *)
-let brute_force_assignment costs =
+(* Brute-force minimum cost of an assignment of exactly [k] rows to
+   distinct columns (every row assigned when [k] is the matrix size). *)
+let brute_force_assignment ?k costs =
   let n = Array.length costs in
-  let best = ref infinity in
-  let rec go used acc i =
-    if acc >= !best then ()
-    else if i = n then best := acc
-    else
+  let k = match k with Some k -> k | None -> n in
+  let best = ref max_int in
+  let rec go used acc i picked =
+    if picked = k then best := min !best acc
+    else if i < n && n - i >= k - picked then begin
+      go used acc (i + 1) picked;
       for j = 0 to n - 1 do
         if not used.(j) then begin
           used.(j) <- true;
-          go used (acc +. costs.(i).(j)) (i + 1);
+          go used (acc + costs.(i).(j)) (i + 1) (picked + 1);
           used.(j) <- false
         end
       done
+    end
   in
-  go (Array.make n false) 0. 0;
+  go (Array.make n false) 0 0 0;
   !best
 
 let assignment_graph costs =
@@ -172,110 +185,139 @@ let assignment_graph costs =
   let g = Graph.create ~num_nodes:(2 + (2 * n)) in
   let src = 0 and sink = 1 in
   for i = 0 to n - 1 do
-    ignore (Graph.add_arc g ~src ~dst:(2 + i) ~capacity:1 ~cost:0.);
-    ignore (Graph.add_arc g ~src:(2 + n + i) ~dst:sink ~capacity:1 ~cost:0.)
+    ignore (Graph.add_arc g ~src ~dst:(2 + i) ~capacity:1 ~icost:0);
+    ignore (Graph.add_arc g ~src:(2 + n + i) ~dst:sink ~capacity:1 ~icost:0)
   done;
   for i = 0 to n - 1 do
     for j = 0 to n - 1 do
       ignore
         (Graph.add_arc g ~src:(2 + i) ~dst:(2 + n + j) ~capacity:1
-           ~cost:costs.(i).(j))
+           ~icost:costs.(i).(j))
     done
   done;
   (g, src, sink)
+
+let random_costs rng n =
+  Array.init n (fun _ -> Array.init n (fun _ -> Rng.int rng 1000))
+
+let solve_int ?stop_below ?audit_after_augment g ~source ~sink =
+  match Mcf.solve_int g ~source ~sink ?stop_below ?audit_after_augment () with
+  | Some o -> o
+  | None -> Alcotest.fail "solve_int refused an in-bound network"
+
+(* Cost of the flow currently in the graph. *)
+let flow_cost g =
+  Graph.fold_forward_arcs g ~init:0 ~f:(fun acc a ->
+      acc + (Graph.flow g a * Graph.icost g a))
 
 let test_mcf_matches_brute_force () =
   let rng = Rng.create ~seed:6 in
   for _ = 1 to 25 do
     let n = 2 + Rng.int rng 4 in
-    let costs =
-      Array.init n (fun _ -> Array.init n (fun _ -> Rng.float rng 1.))
-    in
+    let costs = random_costs rng n in
     let g, source, sink = assignment_graph costs in
-    let outcome = Mcf.solve g ~source ~sink () in
-    Alcotest.(check int) "perfect assignment" n outcome.Mcf.flow;
-    Alcotest.(check (float 1e-6)) "optimal cost" (brute_force_assignment costs)
-      outcome.Mcf.cost
+    let outcome = solve_int g ~source ~sink in
+    Alcotest.(check int) "perfect assignment" n outcome.Mcf.iflow;
+    Alcotest.(check int) "optimal cost" (brute_force_assignment costs)
+      outcome.Mcf.icost
   done
 
 let test_mcf_per_unit_prefix () =
-  (* After the k-th unit, the flow must be a min-cost flow of value k:
-     solving from scratch with target k gives the same cost. *)
+  (* After the k-th unit, the flow must be a min-cost flow of value k: the
+     cheapest assignment of exactly k rows costs the same. *)
   let rng = Rng.create ~seed:7 in
   let n = 4 in
-  let costs = Array.init n (fun _ -> Array.init n (fun _ -> Rng.float rng 1.)) in
-  let cumulative = ref [] in
-  let acc = ref 0. in
+  let costs = random_costs rng n in
   let g, source, sink = assignment_graph costs in
-  let (_ : Mcf.outcome) =
-    Mcf.solve g ~source ~sink
-      ~on_augment:(fun ~units ~path_cost ->
-        acc := !acc +. (float_of_int units *. path_cost);
-        cumulative := (!acc) :: !cumulative;
-        `Continue)
-      ()
+  let prefix = ref [] in
+  let (_ : Mcf.int_outcome) =
+    solve_int g ~source ~sink
+      ~audit_after_augment:(fun () ->
+        prefix := (Graph.excess g sink, flow_cost g) :: !prefix)
   in
-  List.iteri
-    (fun i expected ->
-      let k = List.length !cumulative - i in
-      let g2, source, sink = assignment_graph costs in
-      let outcome = Mcf.solve g2 ~source ~sink ~target_flow:k () in
-      Alcotest.(check int) "target reached" k outcome.Mcf.flow;
-      Alcotest.(check (float 1e-6)) "prefix optimality" expected
-        outcome.Mcf.cost)
-    !cumulative
+  Alcotest.(check int) "one augmentation per unit" n (List.length !prefix);
+  List.iter
+    (fun (k, cost) ->
+      Alcotest.(check int)
+        (Printf.sprintf "prefix optimality at k=%d" k)
+        (brute_force_assignment ~k costs)
+        cost)
+    !prefix
 
 let test_mcf_path_costs_non_decreasing () =
   let rng = Rng.create ~seed:8 in
   for _ = 1 to 20 do
     let n = 3 + Rng.int rng 3 in
-    let costs = Array.init n (fun _ -> Array.init n (fun _ -> Rng.float rng 1.)) in
-    let g, source, sink = assignment_graph costs in
-    let last = ref neg_infinity in
-    let (_ : Mcf.outcome) =
-      Mcf.solve g ~source ~sink
-        ~on_augment:(fun ~units:_ ~path_cost ->
+    let g, source, sink = assignment_graph (random_costs rng n) in
+    (* Per-unit path cost of each augmentation, from the flow's growth. *)
+    let last_flow = ref 0 and last_cost = ref 0 and last_path = ref min_int in
+    let (_ : Mcf.int_outcome) =
+      solve_int g ~source ~sink ~audit_after_augment:(fun () ->
+          let flow = Graph.excess g sink and cost = flow_cost g in
+          let path = (cost - !last_cost) / (flow - !last_flow) in
           Alcotest.(check bool) "non-decreasing path costs" true
-            (path_cost >= !last -. 1e-9);
-          last := path_cost;
-          `Continue)
-        ()
+            (path >= !last_path);
+          last_flow := flow;
+          last_cost := cost;
+          last_path := path)
     in
     ()
   done
 
-let test_mcf_should_augment_stops_before_push () =
-  let costs = [| [| 0.1; 0.9 |]; [| 0.8; 0.95 |] |] in
+let test_mcf_stop_below_stops_before_push () =
+  let costs = [| [| 100; 900 |]; [| 800; 950 |] |] in
   let g, source, sink = assignment_graph costs in
-  (* Refuse any path costing more than 0.5: only the 0.1 unit goes through. *)
-  let outcome =
-    Mcf.solve g ~source ~sink
-      ~should_augment:(fun ~path_cost -> path_cost < 0.5)
-      ()
-  in
-  Alcotest.(check int) "one unit" 1 outcome.Mcf.flow;
-  Alcotest.(check (float 1e-9)) "its cost" 0.1 outcome.Mcf.cost
+  (* Refuse any path costing 500 or more: only the 100 unit goes through. *)
+  let outcome = solve_int g ~source ~sink ~stop_below:500 in
+  Alcotest.(check int) "one unit" 1 outcome.Mcf.iflow;
+  Alcotest.(check int) "its cost" 100 outcome.Mcf.icost;
+  Alcotest.(check int) "no other flow in the graph" 100 (flow_cost g)
 
+(* Negative costs are outside the kernel's overflow bound (its zero
+   starting potential needs every capacitated arc to cost at least 0):
+   it refuses them at entry, before pushing anything. *)
 let test_mcf_negative_costs () =
-  (* A negative-cost arc forces the Bellman-Ford potential bootstrap. *)
   let g = Graph.create ~num_nodes:4 in
-  ignore (Graph.add_arc g ~src:0 ~dst:1 ~capacity:1 ~cost:2.);
-  ignore (Graph.add_arc g ~src:0 ~dst:2 ~capacity:1 ~cost:0.);
-  ignore (Graph.add_arc g ~src:2 ~dst:1 ~capacity:1 ~cost:(-1.5));
-  ignore (Graph.add_arc g ~src:1 ~dst:3 ~capacity:2 ~cost:0.);
-  let outcome = Mcf.solve g ~source:0 ~sink:3 () in
-  Alcotest.(check int) "both units routed" 2 outcome.Mcf.flow;
-  Alcotest.(check (float 1e-9)) "cost uses the negative arc" 0.5
-    outcome.Mcf.cost
+  ignore (Graph.add_arc g ~src:0 ~dst:1 ~capacity:1 ~icost:2);
+  ignore (Graph.add_arc g ~src:0 ~dst:2 ~capacity:1 ~icost:0);
+  ignore (Graph.add_arc g ~src:2 ~dst:1 ~capacity:1 ~icost:(-1));
+  ignore (Graph.add_arc g ~src:1 ~dst:3 ~capacity:2 ~icost:0);
+  Alcotest.(check bool) "refused" true
+    (Mcf.solve_int g ~source:0 ~sink:3 () = None);
+  Alcotest.(check int) "nothing pushed" 0 (Graph.excess g 3)
 
-let test_mcf_negative_cycle_raises () =
+let test_mcf_negative_cycle_refused () =
   let g = Graph.create ~num_nodes:4 in
-  ignore (Graph.add_arc g ~src:0 ~dst:1 ~capacity:1 ~cost:0.);
-  ignore (Graph.add_arc g ~src:1 ~dst:2 ~capacity:5 ~cost:(-2.));
-  ignore (Graph.add_arc g ~src:2 ~dst:1 ~capacity:5 ~cost:1.);
-  ignore (Graph.add_arc g ~src:2 ~dst:3 ~capacity:1 ~cost:0.);
-  Alcotest.check_raises "negative cycle" Mcf.Negative_cycle (fun () ->
-      ignore (Mcf.solve g ~source:0 ~sink:3 ()))
+  ignore (Graph.add_arc g ~src:0 ~dst:1 ~capacity:1 ~icost:0);
+  ignore (Graph.add_arc g ~src:1 ~dst:2 ~capacity:5 ~icost:(-2));
+  ignore (Graph.add_arc g ~src:2 ~dst:1 ~capacity:5 ~icost:1);
+  ignore (Graph.add_arc g ~src:2 ~dst:3 ~capacity:1 ~icost:0);
+  Alcotest.(check bool) "refused" true
+    (Mcf.solve_int g ~source:0 ~sink:3 () = None)
+
+(* The overflow bound is derived for costs up to 2^30: the ceiling itself
+   is accepted, one past it refused. *)
+let test_mcf_cost_ceiling () =
+  let solve icost =
+    let g = Graph.create ~num_nodes:2 in
+    ignore (Graph.add_arc g ~src:0 ~dst:1 ~capacity:1 ~icost);
+    Option.map (fun o -> o.Mcf.icost) (Mcf.solve_int g ~source:0 ~sink:1 ())
+  in
+  Alcotest.(check (option int)) "at the ceiling" (Some Mcf.max_cost)
+    (solve Mcf.max_cost);
+  Alcotest.(check (option int)) "past the ceiling" None
+    (solve (Mcf.max_cost + 1))
+
+(* The total cost is bounded by the flow value as well as the node count,
+   so a push that would take it past max_int is refused instead: 2^33
+   units at cost 2^30 would cost 2^63. *)
+let test_mcf_total_cost_overflow () =
+  let g = Graph.create ~num_nodes:2 in
+  ignore
+    (Graph.add_arc g ~src:0 ~dst:1 ~capacity:(1 lsl 33) ~icost:Mcf.max_cost);
+  Alcotest.(check bool) "refused" true
+    (Mcf.solve_int g ~source:0 ~sink:1 () = None);
+  Alcotest.(check int) "nothing pushed" 0 (Graph.excess g 1)
 
 let test_mcf_agrees_with_maxflow () =
   let rng = Rng.create ~seed:9 in
@@ -286,11 +328,11 @@ let test_mcf_agrees_with_maxflow () =
     Graph.fold_forward_arcs g ~init:() ~f:(fun () a ->
         ignore
           (Graph.add_arc g' ~src:(Graph.src g a) ~dst:(Graph.dst g a)
-             ~capacity:(Graph.residual_capacity g a) ~cost:0.));
+             ~capacity:(Graph.residual_capacity g a) ~icost:0));
     let mf = Maxflow.solve g' ~source:0 ~sink:7 in
-    let outcome = Mcf.solve g ~source:0 ~sink:7 () in
+    let outcome = solve_int g ~source:0 ~sink:7 in
     Alcotest.(check int) "saturating MCF routes the max flow" mf
-      outcome.Mcf.flow
+      outcome.Mcf.iflow
   done
 
 let suite =
@@ -315,11 +357,14 @@ let suite =
       test_mcf_per_unit_prefix;
     Alcotest.test_case "mcf path costs non-decreasing" `Quick
       test_mcf_path_costs_non_decreasing;
-    Alcotest.test_case "mcf should_augment pre-push" `Quick
-      test_mcf_should_augment_stops_before_push;
+    Alcotest.test_case "mcf stop_below pre-push" `Quick
+      test_mcf_stop_below_stops_before_push;
     Alcotest.test_case "mcf negative costs" `Quick test_mcf_negative_costs;
     Alcotest.test_case "mcf negative cycle" `Quick
-      test_mcf_negative_cycle_raises;
+      test_mcf_negative_cycle_refused;
     Alcotest.test_case "mcf saturates to max flow" `Quick
       test_mcf_agrees_with_maxflow;
+    Alcotest.test_case "mcf cost ceiling" `Quick test_mcf_cost_ceiling;
+    Alcotest.test_case "mcf total cost overflow" `Quick
+      test_mcf_total_cost_overflow;
   ]

@@ -113,15 +113,16 @@ let test_differential () =
   done;
   write_digest ()
 
-(* ---------- dense vs sparse flow networks ---------- *)
+(* ---------- the SSP kernel against the textbook oracle ---------- *)
 
-(* The sparse (similarity-pruned) network must match the paper's dense one
-   on the objective: bit-identical MaxSum and Validate-clean — per
-   attribute model (uniform / Zipf / normal mixture) and for jobs ∈
-   {1, 2, 4}. The pair sets themselves may legitimately differ: both flows
-   are min-cost of the same value, and when several augmenting paths tie,
-   the dense network's extra (never-augmented) arcs can steer Dijkstra to a
-   different optimum among equals. Instances come in two flavours:
+(* [Ssp_oracle] solves the paper's dense network (one arc per (v,u) pair,
+   zero-similarity pairs at cost exactly 1) with a float Bellman–Ford SSP
+   on the same 2^30 grid; [Mincostflow] solves the similarity-pruned
+   network with the integer kernel. Per instance the two must agree on
+   the flow value, on the flow cost to the bit, and on MaxSum within
+   1e-6: the optimum is unique, but among exactly tied min-cost flows the
+   two searches may route different pairs, so MaxSum after conflict
+   resolution is only tie-equivalent. Instances come in two flavours:
    Equation-1 similarity (cutoff = attribute-space diameter, so nothing
    prunes) and a re-wrap of the same entities under a range/4 euclidean
    profile, which drives a large fraction of pairs to similarity exactly 0
@@ -136,6 +137,29 @@ let tighten instance =
     ~conflicts:(Instance.conflicts instance)
     ()
 
+let check_against_oracle ~label ?jobs instance =
+  let oracle = Ssp_oracle.mincostflow instance in
+  let m, stats = Mincostflow.solve_with_stats ?jobs instance in
+  (match Validate.check_matching m with
+  | [] -> ()
+  | violations ->
+      Alcotest.failf "%s: %d violations" label (List.length violations));
+  Alcotest.(check int)
+    (label ^ ": flow value")
+    oracle.Ssp_oracle.flow_value stats.Mincostflow.flow_value;
+  Alcotest.(check int64)
+    (label ^ ": flow cost bits")
+    (Int64.bits_of_float oracle.Ssp_oracle.flow_cost)
+    (Int64.bits_of_float stats.Mincostflow.flow_cost);
+  Alcotest.(check (float 1e-6))
+    (label ^ ": maxsum")
+    (Matching.maxsum oracle.Ssp_oracle.matching)
+    (Matching.maxsum m);
+  stats
+
+(* Per attribute model (uniform / Zipf / normal mixture) and for jobs ∈
+   {1, 2, 4}: the pruned network must never hold more pair arcs than the
+   dense one, and the sweep must actually prune somewhere. *)
 let test_dense_sparse_identical () =
   let attr_models =
     [
@@ -144,8 +168,7 @@ let test_dense_sparse_identical () =
       ("normal", Synthetic.Attr_normal_mixture);
     ]
   in
-  let jobs_under_test = [ 1; 2; 4 ] in
-  let pruned_pairs_seen = ref 0 in
+  let pruned_arcs_seen = ref 0 in
   List.iter
     (fun (model_name, attrs) ->
       for seed = 1 to 8 do
@@ -164,66 +187,29 @@ let test_dense_sparse_identical () =
         let base = Synthetic.generate ~seed cfg in
         List.iter
           (fun (flavour, instance) ->
-            let label fmt =
-              Printf.ksprintf
-                (fun s ->
-                  Printf.sprintf "%s/%s seed=%d %s" model_name flavour seed s)
-                fmt
-            in
-            let reference, ref_stats =
-              Mincostflow.solve_with_stats ~jobs:1
-                ~network:Mincostflow.Dense instance
-            in
-            let ref_bits = Int64.bits_of_float (Matching.maxsum reference) in
             List.iter
               (fun jobs ->
-                let m, stats =
-                  Mincostflow.solve_with_stats ~jobs
-                    ~network:Mincostflow.Sparse instance
+                let label =
+                  Printf.sprintf "%s/%s seed=%d jobs=%d" model_name flavour
+                    seed jobs
                 in
-                (match Validate.check_matching m with
-                | [] -> ()
-                | violations ->
-                    Alcotest.failf "%s: %d violations"
-                      (label "jobs=%d" jobs)
-                      (List.length violations));
-                Alcotest.(check int64)
-                  (label "maxsum bits, jobs=%d" jobs)
-                  ref_bits
-                  (Int64.bits_of_float (Matching.maxsum m));
+                let stats = check_against_oracle ~label ~jobs instance in
                 if stats.Mincostflow.pair_arcs > stats.Mincostflow.dense_pairs
-                then
-                  Alcotest.failf "%s: sparse has more arcs than dense"
-                    (label "jobs=%d" jobs);
-                pruned_pairs_seen :=
-                  !pruned_pairs_seen + stats.Mincostflow.dropped_pairs)
-              jobs_under_test;
-            ignore ref_stats)
+                then Alcotest.failf "%s: more arcs than the dense network" label;
+                pruned_arcs_seen :=
+                  !pruned_arcs_seen + stats.Mincostflow.dense_pairs
+                  - stats.Mincostflow.pair_arcs)
+              [ 1; 2; 4 ])
           [ ("eq1", base); ("tight", tighten base) ]
       done)
     attr_models;
-  (* The sweep is only meaningful if the pruning path actually fired. *)
-  if !pruned_pairs_seen = 0 then
+  if !pruned_arcs_seen = 0 then
     Alcotest.fail "no pair was ever pruned — tight instances too loose"
 
-(* ---------- integer vs float cost kernels ---------- *)
-
-(* The exactness contract of DESIGN.md §15, checked end to end: on the
-   same network the integer and float SSP kernels must produce matchings
-   with bit-identical MaxSum, the certified integer run must never fall
-   back, and a guard shrunk to 0 (via GEACC_INT_KERNEL_GUARD) must force
-   every integer run through the verified float-recompute path while
-   still returning the float kernel's exact result. Re-uses the
-   dense/sparse sweep's instance flavours so both the no-prune (eq1) and
-   heavily-pruned (tight) cost distributions are covered. *)
+(* The integer kernel against the float oracle on larger instances
+   (alternating uniform and Zipf attributes), so longer augmenting paths
+   and more tied costs are exercised. *)
 let test_int_float_kernels () =
-  let certified = ref 0 in
-  let with_guard v f =
-    (match v with
-    | Some g -> Unix.putenv "GEACC_INT_KERNEL_GUARD" (string_of_int g)
-    | None -> Unix.putenv "GEACC_INT_KERNEL_GUARD" "");
-    Fun.protect ~finally:(fun () -> Unix.putenv "GEACC_INT_KERNEL_GUARD" "") f
-  in
   for seed = 1 to 6 do
     let cfg =
       {
@@ -231,7 +217,9 @@ let test_int_float_kernels () =
         Synthetic.n_events = 3 + (seed mod 4);
         n_users = 12 + (4 * seed);
         dim = 1 + (seed mod 3);
-        attrs = (if seed mod 2 = 0 then Synthetic.Attr_zipf 1.3 else Synthetic.Attr_uniform);
+        attrs =
+          (if seed mod 2 = 0 then Synthetic.Attr_zipf 1.3
+           else Synthetic.Attr_uniform);
         event_capacity = Synthetic.Cap_uniform 3;
         user_capacity = Synthetic.Cap_uniform 2;
         conflict_ratio = 0.3;
@@ -240,76 +228,10 @@ let test_int_float_kernels () =
     let base = Synthetic.generate ~seed cfg in
     List.iter
       (fun (flavour, instance) ->
-        let label fmt =
-          Printf.ksprintf
-            (fun s -> Printf.sprintf "%s seed=%d %s" flavour seed s)
-            fmt
-        in
-        let reference, ref_stats =
-          Mincostflow.solve_with_stats ~jobs:1
-            ~cost_kernel:Mincostflow.Float_kernel instance
-        in
-        Alcotest.(check bool)
-          (label "float run never falls back")
-          false ref_stats.Mincostflow.int_fallback;
-        let ref_bits = Int64.bits_of_float (Matching.maxsum reference) in
-        (* Certified integer run: same MaxSum to the bit, no fallback. *)
-        let m, stats =
-          Mincostflow.solve_with_stats ~jobs:1
-            ~cost_kernel:Mincostflow.Int_kernel instance
-        in
-        (match Validate.check_matching m with
-        | [] -> ()
-        | violations ->
-            Alcotest.failf "%s: %d violations" (label "int kernel")
-              (List.length violations));
-        (* The exactness contract (Mcf.solve_int): flow value and total
-           cost bit-equal; among exactly tied trees the kernels may route
-           different equal-cost paths, so MaxSum — a sum of true sims
-           over the chosen pairs — is only tie-equivalent, not bitwise. *)
-        Alcotest.(check int)
-          (label "int = float flow value")
-          ref_stats.Mincostflow.flow_value stats.Mincostflow.flow_value;
-        Alcotest.(check int64)
-          (label "int = float flow cost bits")
-          (Int64.bits_of_float ref_stats.Mincostflow.flow_cost)
-          (Int64.bits_of_float stats.Mincostflow.flow_cost);
-        Alcotest.(check (float 1e-6))
-          (label "int = float maxsum (tie-equivalent)")
-          (Matching.maxsum reference) (Matching.maxsum m);
-        if not stats.Mincostflow.int_fallback then incr certified;
-        Alcotest.(check string)
-          (label "kernel actually used")
-          (if stats.Mincostflow.int_fallback then "float" else "int")
-          (Mincostflow.kernel_name stats.Mincostflow.kernel_used);
-        (* Guard forced to 0: the integer run must leave the certified
-           regime on pass one, recompute in float, and still agree. *)
-        with_guard (Some 0) (fun () ->
-            let m', stats' =
-              Mincostflow.solve_with_stats ~jobs:1
-                ~cost_kernel:Mincostflow.Int_kernel instance
-            in
-            Alcotest.(check bool)
-              (label "guard=0 forces the fallback")
-              true stats'.Mincostflow.int_fallback;
-            Alcotest.(check string)
-              (label "guard=0 accepted kernel")
-              "float"
-              (Mincostflow.kernel_name stats'.Mincostflow.kernel_used);
-            (match Validate.check_matching m' with
-            | [] -> ()
-            | violations ->
-                Alcotest.failf "%s: %d violations" (label "fallback")
-                  (List.length violations));
-            Alcotest.(check int64)
-              (label "fallback maxsum bits")
-              ref_bits
-              (Int64.bits_of_float (Matching.maxsum m'))))
+        let label = Printf.sprintf "%s seed=%d" flavour seed in
+        ignore (check_against_oracle ~label ~jobs:1 instance : Mincostflow.stats))
       [ ("eq1", base); ("tight", tighten base) ]
-  done;
-  (* The sweep must exercise the certified path, not just the fallback. *)
-  if !certified = 0 then
-    Alcotest.fail "no integer run stayed in the certified regime"
+  done
 
 let suite =
   [

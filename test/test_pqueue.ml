@@ -92,25 +92,6 @@ let test_pairing_deep () =
   | Some (x, _) -> Alcotest.(check int) "min" 0 x
   | None -> Alcotest.fail "non-empty"
 
-let test_float_int_heap () =
-  let h = Float_int_heap.create () in
-  Alcotest.(check bool) "empty" true (Float_int_heap.is_empty h);
-  Float_int_heap.push h 2.5 1;
-  Float_int_heap.push h 0.5 2;
-  Float_int_heap.push h 1.5 3;
-  Alcotest.(check int) "length" 3 (Float_int_heap.length h);
-  let keys = ref [] in
-  let rec drain () =
-    match Float_int_heap.pop h with
-    | None -> ()
-    | Some (k, _) ->
-        keys := k :: !keys;
-        drain ()
-  in
-  drain ();
-  Alcotest.(check (list (float 0.))) "ascending keys" [ 0.5; 1.5; 2.5 ]
-    (List.rev !keys)
-
 let test_bucket_basic () =
   let q = Int_bucket_queue.create () in
   Alcotest.(check bool) "empty" true (Int_bucket_queue.is_empty q);
@@ -188,31 +169,20 @@ let prop_implementations_agree =
       let p = Pairing_heap.of_list ~cmp:int_cmp xs in
       Binary_heap.pop_all_sorted b = Pairing_heap.to_sorted_list p)
 
-let prop_float_int_matches_sort =
-  QCheck.Test.make ~name:"float-int heap drains keys sorted" ~count:200
-    QCheck.(list (pair (float_bound_inclusive 1000.) small_int))
-    (fun kvs ->
-      let h = Float_int_heap.create () in
-      List.iter (fun (k, v) -> Float_int_heap.push h k v) kvs;
-      let rec drain acc =
-        match Float_int_heap.pop h with
-        | None -> List.rev acc
-        | Some (k, _) -> drain (k :: acc)
-      in
-      drain [] = List.sort compare (List.map fst kvs))
-
-let prop_bucket_matches_float_heap =
+let prop_bucket_matches_binary_heap =
   (* Random monotone streams: interleave pushes (key = current floor + a
      small delta, keeping the bucket queue's contract satisfied) with
-     pops, mirrored into a Float_int_heap. Popped key sequences must be
-     identical, and the popped (key, payload) multisets must agree —
-     payload order among equal keys is unspecified in both structures, so
-     ties are normalised by sorting. *)
-  QCheck.Test.make ~name:"bucket queue matches float-int heap" ~count:300
+     pops, mirrored into a key-ordered Binary_heap. Popped key sequences
+     must be identical, and the popped (key, payload) multisets must
+     agree — payload order among equal keys is unspecified in both
+     structures, so ties are normalised by sorting. *)
+  QCheck.Test.make ~name:"bucket queue matches binary heap" ~count:300
     QCheck.(list (option (pair (int_bound 1000) small_int)))
     (fun ops ->
       let q = Int_bucket_queue.create () in
-      let h = Float_int_heap.create () in
+      let h =
+        Binary_heap.create ~cmp:(fun (k1, _) (k2, _) -> Int.compare k1 k2) ()
+      in
       let floor = ref 0 and next = ref 0 in
       let bucket_pops = ref [] and heap_pops = ref [] in
       let keys_agree = ref true in
@@ -223,15 +193,15 @@ let prop_bucket_matches_float_heap =
               let p = !next in
               incr next;
               Int_bucket_queue.push q k p;
-              Float_int_heap.push h (float_of_int k) p
+              Binary_heap.push h (k, p)
           | None -> (
-              match (Int_bucket_queue.pop q, Float_int_heap.pop h) with
+              match (Int_bucket_queue.pop q, Binary_heap.pop h) with
               | None, None -> ()
               | Some (kq, pq), Some (kh, ph) ->
                   floor := kq;
-                  if float_of_int kq <> kh then keys_agree := false;
+                  if kq <> kh then keys_agree := false;
                   bucket_pops := (kq, pq) :: !bucket_pops;
-                  heap_pops := (int_of_float kh, ph) :: !heap_pops
+                  heap_pops := (kh, ph) :: !heap_pops
               | _ -> keys_agree := false))
         ops;
       let rec drain_q () =
@@ -241,15 +211,8 @@ let prop_bucket_matches_float_heap =
             bucket_pops := (k, p) :: !bucket_pops;
             drain_q ()
       in
-      let rec drain_h () =
-        match Float_int_heap.pop h with
-        | None -> ()
-        | Some (k, p) ->
-            heap_pops := (int_of_float k, p) :: !heap_pops;
-            drain_h ()
-      in
       drain_q ();
-      drain_h ();
+      heap_pops := List.rev_append (Binary_heap.pop_all_sorted h) !heap_pops;
       !keys_agree
       && Int_bucket_queue.check_invariant q
       && List.map fst (List.rev !bucket_pops)
@@ -280,14 +243,12 @@ let suite =
     Alcotest.test_case "pairing basic" `Quick test_pairing_basic;
     Alcotest.test_case "pairing merge" `Quick test_pairing_merge;
     Alcotest.test_case "pairing deep spine" `Quick test_pairing_deep;
-    Alcotest.test_case "float-int heap" `Quick test_float_int_heap;
     Alcotest.test_case "bucket queue basic" `Quick test_bucket_basic;
     Alcotest.test_case "bucket queue one bucket" `Quick test_bucket_one_bucket;
     Alcotest.test_case "bucket queue clear reuse" `Quick
       test_bucket_clear_reuse;
     QCheck_alcotest.to_alcotest prop_binary_sorts;
-    QCheck_alcotest.to_alcotest prop_bucket_matches_float_heap;
+    QCheck_alcotest.to_alcotest prop_bucket_matches_binary_heap;
     QCheck_alcotest.to_alcotest prop_implementations_agree;
-    QCheck_alcotest.to_alcotest prop_float_int_matches_sort;
     QCheck_alcotest.to_alcotest prop_interleaved_ops;
   ]

@@ -457,6 +457,26 @@ let test_sim_fault_injection () =
       Alcotest.(check bool) "oversized similarity" true
         (Instance.sim t ~v:0 ~u:0 >= 1e300))
 
+(* A [sim.*] plan must reach the flow build: [sim.huge@1] poisons the
+   first similarity the candidate queries read. That cost has no point on
+   the 2^30 grid, so the MinCostFlow stage faults instead of serving a
+   matching built from it, and Greedy — whose reads come after the single
+   hit — serves a feasible one. *)
+let test_sim_huge_reaches_flow_build () =
+  let t = instance () in
+  Fault.with_plan "sim.huge@1" (fun () ->
+      let r =
+        anytime_ok
+          (Anytime.solve
+             ~algorithms:[ Solver.Min_cost_flow; Solver.Greedy ]
+             t)
+      in
+      Alcotest.(check bool) "served by greedy" true
+        (r.Anytime.algorithm = Solver.Greedy);
+      Alcotest.(check int) "flow stage faulted" 1 r.Anytime.faults;
+      Alcotest.(check int) "served matching validates" 0
+        (List.length (Validate.check t (Matching.pairs r.Anytime.matching))))
+
 let test_io_fault_injection () =
   let t = instance () in
   let path = Filename.temp_file "geacc_robust" ".inst" in
@@ -544,5 +564,7 @@ let suite =
     Alcotest.test_case "anytime: fault then fallback" `Quick
       test_anytime_fault_then_fallback;
     Alcotest.test_case "faults: sim injection" `Quick test_sim_fault_injection;
+    Alcotest.test_case "faults: sim.huge reaches the flow build" `Quick
+      test_sim_huge_reaches_flow_build;
     Alcotest.test_case "faults: io injection" `Quick test_io_fault_injection;
   ]
