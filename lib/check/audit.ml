@@ -34,27 +34,23 @@ module Flow = struct
   module G = Geacc_flow.Graph
 
   let check_capacity ~site g =
-    let m = G.arc_count g in
-    let a = ref 0 in
-    while !a < m do
-      let fwd = !a and bwd = !a + 1 in
-      let r_fwd = G.residual_capacity g fwd
-      and r_bwd = G.residual_capacity g bwd in
-      if r_fwd < 0 then
-        failf ~site "arc %d has negative residual capacity %d" fwd r_fwd;
-      if r_bwd < 0 then
-        failf ~site "residual arc %d has negative capacity %d" bwd r_bwd;
-      let total = G.initial_capacity g fwd + G.initial_capacity g bwd in
-      if r_fwd + r_bwd <> total then
-        failf ~site
-          "arc pair %d/%d leaks capacity: residual %d + %d <> initial %d" fwd
-          bwd r_fwd r_bwd total;
-      let fl = G.flow g fwd in
-      if fl < 0 || fl > G.initial_capacity g fwd then
-        failf ~site "arc %d carries flow %d outside [0, %d]" fwd fl
-          (G.initial_capacity g fwd);
-      a := !a + 2
-    done
+    G.fold_forward_arcs g ~init:() ~f:(fun () fwd ->
+        let bwd = G.rev g fwd in
+        let r_fwd = G.residual_capacity g fwd
+        and r_bwd = G.residual_capacity g bwd in
+        if r_fwd < 0 then
+          failf ~site "arc %d has negative residual capacity %d" fwd r_fwd;
+        if r_bwd < 0 then
+          failf ~site "residual arc %d has negative capacity %d" bwd r_bwd;
+        let total = G.initial_capacity g fwd + G.initial_capacity g bwd in
+        if r_fwd + r_bwd <> total then
+          failf ~site
+            "arc pair %d/%d leaks capacity: residual %d + %d <> initial %d"
+            fwd bwd r_fwd r_bwd total;
+        let fl = G.flow g fwd in
+        if fl < 0 || fl > G.initial_capacity g fwd then
+          failf ~site "arc %d carries flow %d outside [0, %d]" fwd fl
+            (G.initial_capacity g fwd))
 
   let check_conservation ~site g ~source ~sink =
     let n = G.node_count g in
@@ -72,10 +68,8 @@ module Flow = struct
         (-net.(source)) net.(sink)
 
   let check_csr ~site g =
-    if not (G.csr_valid g) then
-      fail ~site "CSR form is stale (arcs added since finalize_csr)";
     let n = G.node_count g and m = G.arc_count g in
-    (* Offsets: monotone, starting at 0, covering exactly the arc store. *)
+    (* Offsets: monotone, starting at 0, covering exactly the arcs. *)
     if n > 0 && G.out_begin g 0 <> 0 then
       failf ~site "CSR offset of node 0 is %d, expected 0" (G.out_begin g 0);
     for v = 0 to n - 1 do
@@ -91,38 +85,27 @@ module Flow = struct
       failf ~site "CSR offsets cover %d positions, expected %d arcs"
         (G.out_end g (n - 1))
         m;
-    (* Positions: a permutation of the arc ids, each agreeing with the arc
-       store on src/dst/icost, with the positional residual capacity
-       mirroring the arc-indexed one. *)
-    let seen = Array.make (Stdlib.max m 1) false in
+    (* Reverse pairing: an involution without fixed points that swaps the
+       endpoints, negates the cost and conserves the pair's capacity. *)
     for v = 0 to n - 1 do
-      for p = G.out_begin g v to G.out_end g v - 1 do
-        let a = G.pos_arc g p in
-        if a < 0 || a >= m then
-          failf ~site "CSR position %d stores invalid arc id %d" p a;
-        if seen.(a) then
-          failf ~site "arc %d appears at two CSR positions" a;
-        seen.(a) <- true;
-        if G.arc_position g a <> p then
-          failf ~site "arc %d maps to position %d, stored at %d" a
-            (G.arc_position g a) p;
-        if G.src g a <> v then
-          failf ~site "CSR position %d (node %d) stores arc %d of node %d" p
-            v a (G.src g a);
-        if G.pos_dst g p <> G.dst g a then
-          failf ~site "CSR position %d: dst %d <> arc %d's dst %d" p
-            (G.pos_dst g p) a (G.dst g a);
-        if G.pos_icost g p <> G.icost g a then
-          failf ~site "CSR position %d: icost %d <> arc %d's icost %d" p
-            (G.pos_icost g p) a (G.icost g a);
-        if G.pos_residual_capacity g p <> G.residual_capacity g a then
+      for a = G.out_begin g v to G.out_end g v - 1 do
+        let b = G.rev g a in
+        if b < 0 || b >= m || b = a then
+          failf ~site "arc %d pairs with invalid arc %d" a b;
+        if G.rev g b <> a then
+          failf ~site "arc %d pairs with %d, which pairs with %d" a b
+            (G.rev g b);
+        if G.dst g b <> v then
+          failf ~site "arc %d leaves node %d but its partner %d enters %d" a v
+            b (G.dst g b);
+        if G.icost g b <> -G.icost g a then
+          failf ~site "arc %d costs %d but its partner %d costs %d" a
+            (G.icost g a) b (G.icost g b);
+        let r = G.residual_capacity g a + G.residual_capacity g b
+        and c = G.initial_capacity g a + G.initial_capacity g b in
+        if r <> c then
           failf ~site
-            "CSR position %d: residual capacity %d out of sync with arc %d \
-             (%d)"
-            p
-            (G.pos_residual_capacity g p)
-            a
-            (G.residual_capacity g a)
+            "arc pair %d/%d leaks capacity: residual %d <> initial %d" a b r c
       done
     done
 
@@ -146,10 +129,6 @@ module Heap = struct
   let check_binary ~site h =
     if not (Geacc_pqueue.Binary_heap.check_invariant h) then
       fail ~site "binary heap order violated"
-
-  let check_pairing ~site h =
-    if not (Geacc_pqueue.Pairing_heap.check_invariant h) then
-      fail ~site "pairing heap order or size violated"
 
   let check_bucket ~site q =
     if not (Geacc_pqueue.Int_bucket_queue.check_invariant q) then

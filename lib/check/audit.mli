@@ -63,19 +63,15 @@ module Flow : sig
 
   val check_csr :
     site:string -> Geacc_flow.Graph.t -> unit
-  (** The CSR form is current and faithful: offsets are monotone and tile
-      [\[0, arc_count)], positions are a permutation of the arc ids whose
-      dst/icost agree with the arc store, and the positional
-      residual capacities mirror the arc-indexed ones (the invariant
-      {!Geacc_flow.Graph.push} maintains in place). Fails when
-      {!Geacc_flow.Graph.csr_valid} is false — run it only after
-      [finalize_csr]. *)
+  (** The CSR layout is sound: offsets are monotone and tile
+      [\[0, arc_count)], and {!Geacc_flow.Graph.rev} pairs every arc with
+      a distinct partner — an involution that swaps the endpoints,
+      negates the cost and conserves the pair's capacity. *)
 end
 
 (** Priority-queue structural invariants. *)
 module Heap : sig
   val check_binary : site:string -> 'a Geacc_pqueue.Binary_heap.t -> unit
-  val check_pairing : site:string -> 'a Geacc_pqueue.Pairing_heap.t -> unit
 
   val check_bucket :
     site:string -> Geacc_pqueue.Int_bucket_queue.t -> unit

@@ -89,9 +89,9 @@ let build_network ?jobs instance =
      cost reaches 1, so no unit of the final flow could ever cross one.
      The per-event candidate sets are computed in parallel per event-chunk
      (each cell a function of its event id alone, so byte-identical for
-     every job count); degree counting then pre-sizes the arc store
-     exactly, and the sequential v-major, u-ascending emission fixes arc
-     ids by (v, u) rank. *)
+     every job count); degree counting then pre-sizes the staging list
+     exactly, and the sequential v-major, u-ascending emission fixes edge
+     ids — and hence the frozen scan order — by (v, u) rank. *)
   Instance.prepare_event_queries instance;
   let cand_chunks =
     Pool.parallel_map_chunked ?jobs ~n:n_v (fun ~lo ~hi ->
@@ -133,14 +133,15 @@ let build_network ?jobs instance =
             candidates)
         chunk)
     cand_chunks;
-  if Audit.enabled () then
-    audit_pruned_pairs ~site:"Mincostflow.build_network" instance g ~n_v
-      ~n_u;
   for u = 0 to n_u - 1 do
     ignore
       (Graph.add_arc g ~src:(user_node u) ~dst:sink
          ~capacity:(Instance.user_capacity instance u) ~icost:0)
   done;
+  Graph.finalize_csr g;
+  if Audit.enabled () then
+    audit_pruned_pairs ~site:"Mincostflow.build_network" instance g ~n_v
+      ~n_u;
   { graph = g; source; sink; pair_arcs; dense_pairs = n_v * n_u }
 
 let solve_with_stats ?deadline ?jobs instance =
@@ -153,17 +154,13 @@ let solve_with_stats ?deadline ?jobs instance =
      largest MaxSum (the paper's argmax over Δ_min..Δ_max). *)
   (* Audit hooks fire inside the SSP loop, so a broken invariant names the
      augmentation that introduced it rather than surfacing after the run. *)
-  if Audit.enabled () then begin
-    Graph.finalize_csr g;
-    Audit.Flow.check_csr ~site:"Mincostflow.solve/finalize" g
-  end;
+  if Audit.enabled () then
+    Audit.Flow.check_csr ~site:"Mincostflow.solve/finalize" g;
   let audit_after_augment () =
     if Audit.enabled () then begin
       let site = "Mincostflow.solve/augment" in
       Audit.Flow.check_capacity ~site g;
-      Audit.Flow.check_conservation ~site g ~source ~sink;
-      (* Pushes must have kept the positional residual capacities current. *)
-      Audit.Flow.check_csr ~site g
+      Audit.Flow.check_conservation ~site g ~source ~sink
     end
   in
   let audit_after_dijkstra ~potential =

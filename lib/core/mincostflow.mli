@@ -62,12 +62,13 @@ type stats = {
 }
 
 val build_network : ?jobs:int -> Instance.t -> net
-(** The Step-1 network. [jobs] (default {!Geacc_par.Pool.default_jobs})
-    parallelises the candidate queries per event-chunk; arc emission stays
-    sequential and v-major with u ascending, so arc ids — and hence the SSP
-    pivoting order and the final flow — are byte-identical for every job
-    count. When a fault plan is active the queries run sequentially so
-    [sim.*] hit counters replay in plan order. Under [GEACC_AUDIT=1] the
+(** The Step-1 network, frozen ({!Geacc_flow.Graph.finalize_csr}). [jobs]
+    (default {!Geacc_par.Pool.default_jobs}) parallelises the candidate
+    queries per event-chunk; arc emission stays sequential and v-major with
+    u ascending, so arc ids — and hence the SSP pivoting order and the
+    final flow — are byte-identical for every job count. When a fault plan
+    is active the queries run sequentially so [sim.*] hit counters replay
+    in plan order. Under [GEACC_AUDIT=1] the
     build additionally proves every pruned pair has zero similarity.
     Exposed for the determinism tests, audits and benchmarks.
     @raise Geacc_robust.Fault.Injected when the [mcf.alloc] point fires.

@@ -1,15 +1,25 @@
-(** Residual flow network.
+(** Residual flow network, stored as CSR.
 
-    Arcs carry an integer capacity and an integer cost per unit of flow. Every
-    call to {!add_arc} also creates the paired residual arc (zero capacity,
-    negated cost); pushing flow moves capacity between the pair. Arc ids are
-    dense integers; the residual partner of arc [a] is [a lxor 1], forward
-    (user-created) arcs are the even ids. *)
+    A graph is built in two phases. While it is being built, {!add_arc}
+    appends edges (integer capacity, integer cost per unit of flow) to a
+    staging list. {!finalize_csr} then freezes it, once: every edge becomes
+    two half-arcs — the forward arc and its residual partner (zero
+    capacity, negated cost) — laid out contiguously per source node, and
+    the staging list is dropped. Pushing flow moves capacity between the
+    two halves of a pair.
+
+    Arc ids are CSR positions: the arcs leaving node [n] are exactly the
+    ids in [\[out_begin n, out_end n)], and {!rev} gives each arc's
+    residual partner. Every arc accessor requires the frozen graph (before
+    the freeze {!arc_count} is 0 and every node's range is empty). *)
 
 type t
 
 type arc = int
-(** Arc identifier, index into the graph's arc store. *)
+(** A half-arc: its CSR position in the frozen graph. *)
+
+type edge = int
+(** An edge as returned by {!add_arc}: its insertion index, from 0. *)
 
 val create : num_nodes:int -> t
 (** Network over nodes [0 .. num_nodes-1] with no arcs. *)
@@ -17,22 +27,41 @@ val create : num_nodes:int -> t
 val node_count : t -> int
 
 val arc_count : t -> int
-(** Number of arcs including residual partners (always even). *)
+(** Number of half-arcs in the frozen graph, residual partners included
+    (twice the edge count); 0 before {!finalize_csr}. *)
 
 val reserve : t -> arcs:int -> unit
-(** Pre-sizes the arc store for [arcs] further {!add_arc} calls (each takes
-    two slots: forward + residual partner), so a bulk construction pays one
-    allocation instead of a doubling cascade. Purely an optimisation — arc
-    ids and contents are unaffected. *)
+(** Pre-sizes the staging list for [arcs] further {!add_arc} calls, so a
+    bulk construction pays one allocation instead of a doubling cascade.
+    Purely an optimisation — ids and contents are unaffected.
+    @raise Invalid_argument once the graph is frozen. *)
 
-val add_arc : t -> src:int -> dst:int -> capacity:int -> icost:int -> arc
-(** Adds a forward arc and its residual partner; returns the forward arc id.
-    Requires [capacity >= 0] and valid node ids. [icost] is the arc's
-    integer cost per unit (the [Mincostflow] network builder stores
-    [1 - sim] quantised to its [2^30] grid); the residual partner carries
-    its negation. *)
+val add_arc : t -> src:int -> dst:int -> capacity:int -> icost:int -> edge
+(** Stages an edge and returns its id (the number of edges staged before
+    it). Requires [capacity >= 0] and valid node ids. [icost] is the
+    edge's integer cost per unit (the [Mincostflow] network builder stores
+    [1 - sim] quantised to its [2^30] grid); its residual partner carries
+    the negation.
+    @raise Invalid_argument once the graph is frozen. *)
+
+val finalize_csr : t -> unit
+(** Freezes the graph: counts half-arcs by source node, prefix-sums the
+    counts into the offset table, and scatters the half-arcs in descending
+    insertion order (edge [k]'s residual half, then its forward half, for
+    [k] from the last edge down to 0). Within a node, arcs therefore come
+    in descending insertion order, the order the traversal kernels'
+    tie-breaking — and hence every pinned flow — is defined by.
+    O(nodes + edges); a no-op on a frozen graph. *)
+
+val arc_of_edge : t -> edge -> arc
+(** The forward half-arc of an edge. Requires the frozen graph. *)
+
+val rev : t -> arc -> arc
+(** The residual partner of an arc (an involution). *)
 
 val src : t -> arc -> int
+(** Source node of an arc: the destination of its partner. *)
+
 val dst : t -> arc -> int
 
 val icost : t -> arc -> int
@@ -40,113 +69,58 @@ val icost : t -> arc -> int
     residual partners). *)
 
 val residual_capacity : t -> arc -> int
-(** Remaining capacity of [a] in the residual network. *)
+(** Remaining capacity of an arc in the residual network. *)
 
 val initial_capacity : t -> arc -> int
-(** Capacity of [a] at creation time (0 for residual partners). *)
+(** Capacity of an arc at the freeze (0 for residual partners). *)
 
 val unsafe_set_residual_capacity : t -> arc -> int -> unit
-(** Overwrites [a]'s residual capacity {e without} touching its partner,
-    breaking the pair-conservation invariant. Fault injection for audit
-    tests only — never call this from algorithm code. *)
+(** Overwrites an arc's residual capacity {e without} touching its
+    partner, breaking the pair-conservation invariant. Fault injection for
+    audit tests only — never call this from algorithm code. *)
 
 val flow : t -> arc -> int
-(** Flow currently carried by a {e forward} arc: capacity moved to its
-    residual partner. Requires an even (forward) arc id. *)
+(** Flow carried along an arc: the capacity it has given up,
+    [initial_capacity a - residual_capacity a]. Non-negative on a forward
+    arc; on a residual partner it is the negated flow of the forward arc. *)
 
 val push : t -> arc -> int -> unit
 (** [push g a k] sends [k] units along [a]: decreases [a]'s residual
     capacity, increases its partner's. Requires
     [0 <= k <= residual_capacity g a]. *)
 
-val iter_out_arcs : t -> int -> (arc -> unit) -> unit
-(** Iterates all arc ids leaving a node (forward and residual alike);
-    callers filter by {!residual_capacity}. *)
-
-val first_out_arc : t -> int -> arc
-(** First arc leaving a node, or -1 if it has none. With {!next_out_arc}
-    this is the closure-free counterpart of {!iter_out_arcs} for hot loops:
-    [let a = ref (first_out_arc g u) in while !a >= 0 do ... a :=
-    next_out_arc g !a done]. *)
-
-val next_out_arc : t -> arc -> arc
-(** Next arc leaving the same node as [a], or -1 at the end of the list. *)
-
 val fold_forward_arcs : t -> init:'a -> f:('a -> arc -> 'a) -> 'a
-(** Folds over the user-created (even) arcs in insertion order. *)
+(** Folds over the forward half-arcs in edge insertion order. *)
 
-(** {2 CSR finalization}
+val out_begin : t -> int -> arc
+(** First arc leaving a node. *)
 
-    {!finalize_csr} compacts the arc store into struct-of-arrays
-    [dst]/[icost]/[residual_cap] arrays grouped per source node by an offset
-    table, so the traversal kernels (Dijkstra, BFS) scan the
-    contiguous position range [\[out_begin n, out_end n)] instead of
-    chasing [next] links. Arc ids are unchanged — positions carry their arc
-    id ({!pos_arc}), the [a lxor 1] residual pairing is untouched, and
-    within a node positions enumerate arcs in exactly the order
-    {!first_out_arc}/{!next_out_arc} would (descending arc id). {!push},
-    {!unsafe_set_residual_capacity} and {!reset_flow} keep the positional
-    residual capacities current in place; only {!add_arc} invalidates the
-    form (rebuild by calling {!finalize_csr} again). *)
+val out_end : t -> int -> arc
+(** One past the last arc leaving a node. *)
 
-val finalize_csr : t -> unit
-(** Builds (or rebuilds) the CSR form. O(nodes + arcs); a no-op when the
-    form is already current. *)
+(** {2 Raw columns}
 
-val csr_valid : t -> bool
-(** [true] when the CSR form reflects the current arc store (no arcs added
-    since the last {!finalize_csr}). *)
-
-val out_begin : t -> int -> int
-(** First CSR position of the arcs leaving a node. Requires {!csr_valid}. *)
-
-val out_end : t -> int -> int
-(** One past the last CSR position of the arcs leaving a node. *)
-
-val pos_dst : t -> int -> int
-(** Destination of the arc at a CSR position. *)
-
-val pos_icost : t -> int -> int
-(** Integer cost of the arc at a CSR position. *)
-
-val pos_residual_capacity : t -> int -> int
-(** Residual capacity of the arc at a CSR position — kept current by
-    {!push}/{!reset_flow} while the form is valid. *)
-
-val pos_arc : t -> int -> arc
-(** Arc id stored at a CSR position. *)
-
-val arc_position : t -> arc -> int
-(** CSR position of an arc id (inverse of {!pos_arc}). Requires
-    {!csr_valid}. *)
-
-(** {3 Raw CSR slices}
-
-    The [unsafe_csr_*] accessors hand the traversal kernels the positional
-    arrays themselves: one {!csr_valid} assert at fetch time, then the
-    caller indexes positions from [\[out_begin n, out_end n)] ranges with
-    no per-access validity or bounds check. Every such index site must
-    carry a stage-4 licence [(* bounds: proved — ... *)] that
-    [dune build @bounds] re-proves on every build; while {!csr_valid}
-    holds, every position below {!arc_count} is in bounds for all four
-    slices ([Audit.Flow.check_csr] verifies this at runtime). The slices
-    stay current across {!push}/{!reset_flow} and are invalidated by
-    {!add_arc}, like every CSR accessor. *)
+    The [unsafe_csr_*] accessors hand the traversal kernels the per-arc
+    columns themselves, so they index arcs from [\[out_begin n, out_end
+    n)] ranges with no per-access check. Every such index site must carry
+    a stage-4 licence [(* bounds: proved — ... *)] that [dune build
+    @bounds] re-proves on every build: every arc below {!arc_count} is in
+    bounds for each column, and the offsets lie in [\[0, arc_count\]]
+    ([Audit.Flow.check_csr] verifies the offsets at runtime). The columns
+    stay current across {!push}/{!reset_flow}. *)
 
 val unsafe_csr_dst : t -> int array
-(** Positional [dst] slice. Requires {!csr_valid}. *)
+(** Per-arc destination column. *)
 
 val unsafe_csr_icost : t -> int array
-(** Positional integer-cost slice. Requires {!csr_valid}. *)
+(** Per-arc integer-cost column. *)
 
 val unsafe_csr_cap : t -> int array
-(** Positional residual-capacity slice. Requires {!csr_valid}. *)
-
-val unsafe_csr_arc : t -> int array
-(** Positional arc-id slice. Requires {!csr_valid}. *)
+(** Per-arc residual-capacity column. *)
 
 val reset_flow : t -> unit
 (** Returns every arc to zero flow. *)
 
 val excess : t -> int -> int
-(** Net inflow minus outflow at a node (flow-conservation check hook). *)
+(** Net inflow minus outflow at a node (flow-conservation check hook). A
+    self-loop's flow leaves and re-enters its node, so it nets to 0. *)

@@ -32,6 +32,7 @@ let solve_int g ~source ~sink ?(deadline = Budget.unlimited) ?stop_below
     ?(audit_after_dijkstra = fun ~potential:_ -> ())
     ?(audit_after_augment = fun () -> ()) () =
   assert (source <> sink);
+  Graph.finalize_csr g;
   let n = Graph.node_count g in
   assert (0 <= source && source < n && 0 <= sink && sink < n);
   if n >= max_nodes || not (costs_in_range g) then None

@@ -60,7 +60,8 @@ val solve_int :
   ?audit_after_augment:(unit -> unit) ->
   unit ->
   int_outcome option
-(** Augments until the sink is unreachable, the next path cost reaches
+(** Freezes the graph ({!Graph.finalize_csr}) if it is still being built,
+    then augments until the sink is unreachable, the next path cost reaches
     [stop_below], or [deadline] (default: unlimited) expires.
 
     [stop_below] is checked {e before} pushing along a found path — since

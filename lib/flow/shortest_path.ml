@@ -1,10 +1,10 @@
-(* The relaxation kernels index the raw CSR slices and the node-indexed
-   scratch arrays through [Geacc_unsafe] under stage-4 licences: positions
-   come from [out_begin u <= p < out_end u <= arc_count <= |slice|] and
-   node ids from [csr_dst] contents, which lie in [0, node_count) —
-   invariants the @bounds analyzer seeds from [finalize_csr] and
-   Audit.Flow.check_csr verifies at runtime. `--profile safe` compiles the
-   same sites back to checked accesses. See DESIGN.md §13. *)
+(* The relaxation kernels index the graph's per-arc columns and the
+   node-indexed scratch arrays through [Geacc_unsafe] under stage-4
+   licences: arcs come from [out_begin u <= p < out_end u <= arc_count <=
+   |column|] and node ids from [csr_dst] contents, which lie in
+   [0, node_count) — invariants the @bounds analyzer seeds for every graph
+   and Audit.Flow.check_csr verifies at runtime. `--profile safe` compiles
+   the same sites back to checked accesses. See DESIGN.md §13. *)
 module A = Geacc_unsafe
 
 module Q = Geacc_pqueue.Int_bucket_queue
@@ -18,14 +18,12 @@ let dijkstra_int g ~source ~pi ~dist ~parent_arc ~queue ?stop_at () =
   Array.fill dist 0 n max_int;
   Array.fill parent_arc 0 n (-1);
   Q.clear queue;
-  (* bounds: proved — slice fetched under csr_valid (finalize_csr above) *)
+  (* bounds: proved — columns of the frozen graph (finalize_csr above) *)
   let csr_dst = Graph.unsafe_csr_dst g in
-  (* bounds: proved — slice fetched under csr_valid (finalize_csr above) *)
+  (* bounds: proved — columns of the frozen graph (finalize_csr above) *)
   let csr_icost = Graph.unsafe_csr_icost g in
-  (* bounds: proved — slice fetched under csr_valid (finalize_csr above) *)
+  (* bounds: proved — columns of the frozen graph (finalize_csr above) *)
   let csr_cap = Graph.unsafe_csr_cap g in
-  (* bounds: proved — slice fetched under csr_valid (finalize_csr above) *)
-  let csr_arc = Graph.unsafe_csr_arc g in
   let stop = match stop_at with Some s -> s | None -> -1 in
   dist.(source) <- 0;
   Q.push queue 0 source;
@@ -76,8 +74,8 @@ let dijkstra_int g ~source ~pi ~dist ~parent_arc ~queue ?stop_at () =
               if nd < A.unsafe_get dist v && nd <= !stop_dist then begin
                 (* bounds: proved — v < node_count = |dist| *)
                 A.unsafe_set dist v nd;
-                (* bounds: proved — v < node_count = |parent_arc|; p < arc_count <= |csr_arc| *)
-                A.unsafe_set parent_arc v (A.unsafe_get csr_arc p);
+                (* bounds: proved — v < node_count = |parent_arc| *)
+                A.unsafe_set parent_arc v p;
                 if v = stop then stop_dist := nd;
                 Q.push queue nd v
               end

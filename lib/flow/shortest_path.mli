@@ -20,7 +20,8 @@ val dijkstra_int :
     {e reduced} distances ([max_int] for unreached nodes); callers
     converting back to true distances add [pi(dst) - pi(source)].
     [parent_arc] holds the arc into each node on a shortest path (-1 at
-    the source and at unreached nodes).
+    the source and at unreached nodes). Freezes the graph
+    ({!Graph.finalize_csr}) if it is still being built.
 
     With [stop_at] the search halts as soon as that node is settled; its
     distance and parents along its shortest path are exact, while other

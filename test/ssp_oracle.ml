@@ -10,7 +10,7 @@
 
 open Geacc_core
 
-(* Arc [a]'s residual partner is [a lxor 1], as in [Geacc_flow.Graph]. *)
+(* Arc [a]'s residual partner is [a lxor 1]. *)
 type t = {
   n : int;
   mutable m : int;
@@ -40,16 +40,20 @@ let add_arc t ~src ~dst ~capacity ~cost =
   add_half t ~src ~dst ~capacity ~cost;
   add_half t ~src:dst ~dst:src ~capacity:0 ~cost:(-.cost)
 
-(* Every arc of a flow graph with its current residual capacity and its
-   integer cost, so the oracle can search the same residual network. *)
+(* Every arc pair of a frozen flow graph with its current residual
+   capacities and integer costs, so the oracle can search the same
+   residual network. *)
 let of_graph g =
   let module G = Geacc_flow.Graph in
   let t = create ~n:(G.node_count g) in
-  for a = 0 to G.arc_count g - 1 do
+  let half a =
     add_half t ~src:(G.src g a) ~dst:(G.dst g a)
       ~capacity:(G.residual_capacity g a)
       ~cost:(float_of_int (G.icost g a))
-  done;
+  in
+  G.fold_forward_arcs g ~init:() ~f:(fun () a ->
+      half a;
+      half (G.rev g a));
   t
 
 (* Shortest distances from [source] over arcs with residual capacity and

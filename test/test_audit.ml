@@ -6,7 +6,6 @@ open Geacc_core
 module Audit = Geacc_check.Audit
 module Graph = Geacc_flow.Graph
 module Binary_heap = Geacc_pqueue.Binary_heap
-module Pairing_heap = Geacc_pqueue.Pairing_heap
 module Synthetic = Geacc_datagen.Synthetic
 
 let contains haystack needle =
@@ -46,13 +45,16 @@ let test_gate_toggling () =
 
 (* -- flow network -- *)
 
-(* 0 -> 1 -> 2 -> 3, unit costs, capacity 2 each. *)
+(* 0 -> 1 -> 2 -> 3, unit costs, capacity 2 each; returns the frozen
+   graph and its three forward arcs. *)
 let path_graph () =
   let g = Graph.create ~num_nodes:4 in
-  let a01 = Graph.add_arc g ~src:0 ~dst:1 ~capacity:2 ~icost:1 in
-  let a12 = Graph.add_arc g ~src:1 ~dst:2 ~capacity:2 ~icost:1 in
-  let a23 = Graph.add_arc g ~src:2 ~dst:3 ~capacity:2 ~icost:1 in
-  (g, a01, a12, a23)
+  let e01 = Graph.add_arc g ~src:0 ~dst:1 ~capacity:2 ~icost:1 in
+  let e12 = Graph.add_arc g ~src:1 ~dst:2 ~capacity:2 ~icost:1 in
+  let e23 = Graph.add_arc g ~src:2 ~dst:3 ~capacity:2 ~icost:1 in
+  Graph.finalize_csr g;
+  let arc = Graph.arc_of_edge g in
+  (g, arc e01, arc e12, arc e23)
 
 let test_flow_conservation () =
   let g, a01, a12, a23 = path_graph () in
@@ -77,6 +79,20 @@ let test_flow_capacity_leak () =
   Graph.unsafe_set_residual_capacity g a01 5;
   expect_violation "capacity leak" ~detail_part:"leaks capacity" (fun () ->
       Audit.Flow.check_capacity ~site:"test" g)
+
+(* check_csr on a healthy graph, then on the two corruptions a push can
+   leave behind: a pair whose capacity leaks and a pair whose flow moved
+   along one half only (check_capacity names the same leak). *)
+let test_flow_csr_pairing () =
+  let g, a01, a12, _ = path_graph () in
+  Graph.push g a01 1;
+  Audit.Flow.check_csr ~site:"test" g;
+  Audit.Flow.check_capacity ~site:"test" g;
+  Graph.unsafe_set_residual_capacity g (Graph.rev g a12) 1;
+  expect_violation "csr capacity leak" ~detail_part:"leaks capacity"
+    (fun () -> Audit.Flow.check_csr ~site:"test" g);
+  expect_violation "pair capacity leak" ~detail_part:"leaks capacity"
+    (fun () -> Audit.Flow.check_capacity ~site:"test" g)
 
 let test_flow_reduced_costs () =
   let g, _, _, _ = path_graph () in
@@ -104,14 +120,19 @@ let test_binary_heap_invariant () =
   expect_violation "binary heap" ~detail_part:"binary heap order" (fun () ->
       Audit.Heap.check_binary ~site:"test" h)
 
+(* The pairing heap is a test-only oracle, so its audit hook lives here. *)
+let check_pairing ~site h =
+  if not (Pairing_heap.check_invariant h) then
+    Audit.fail ~site "pairing heap order or size violated"
+
 let test_pairing_heap_invariant () =
   let flip = ref false in
   let cmp a b = if !flip then Int.compare b a else Int.compare a b in
   let h = Pairing_heap.of_list ~cmp [ 5; 1; 4; 2; 3 ] in
-  Audit.Heap.check_pairing ~site:"test" h;
+  check_pairing ~site:"test" h;
   flip := true;
   expect_violation "pairing heap" ~detail_part:"pairing heap" (fun () ->
-      Audit.Heap.check_pairing ~site:"test" h)
+      check_pairing ~site:"test" h)
 
 (* -- matchings -- *)
 
@@ -215,6 +236,7 @@ let suite =
     Alcotest.test_case "flow negative residual" `Quick
       test_flow_capacity_negative;
     Alcotest.test_case "flow capacity leak" `Quick test_flow_capacity_leak;
+    Alcotest.test_case "flow csr pairing leak" `Quick test_flow_csr_pairing;
     Alcotest.test_case "flow reduced costs" `Quick test_flow_reduced_costs;
     Alcotest.test_case "binary heap invariant" `Quick
       test_binary_heap_invariant;

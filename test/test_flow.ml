@@ -8,38 +8,63 @@ module Rng = Geacc_util.Rng
 
 let test_graph_basics () =
   let g = Graph.create ~num_nodes:3 in
-  let a = Graph.add_arc g ~src:0 ~dst:1 ~capacity:5 ~icost:2 in
-  let b = Graph.add_arc g ~src:1 ~dst:2 ~capacity:3 ~icost:(-1) in
+  let ea = Graph.add_arc g ~src:0 ~dst:1 ~capacity:5 ~icost:2 in
+  let eb = Graph.add_arc g ~src:1 ~dst:2 ~capacity:3 ~icost:(-1) in
+  Alcotest.(check (pair int int)) "edge ids" (0, 1) (ea, eb);
+  Alcotest.(check int) "no arcs before the freeze" 0 (Graph.arc_count g);
+  Graph.finalize_csr g;
+  let a = Graph.arc_of_edge g ea in
+  let r = Graph.rev g a in
   Alcotest.(check int) "node count" 3 (Graph.node_count g);
   Alcotest.(check int) "arcs incl. residuals" 4 (Graph.arc_count g);
   Alcotest.(check int) "src" 0 (Graph.src g a);
   Alcotest.(check int) "dst" 1 (Graph.dst g a);
+  Alcotest.(check int) "partner reversed" 1 (Graph.src g r);
+  Alcotest.(check int) "rev is an involution" a (Graph.rev g r);
   Alcotest.(check int) "cost" 2 (Graph.icost g a);
-  Alcotest.(check int) "residual cost negated" (-2) (Graph.icost g (a lxor 1));
+  Alcotest.(check int) "residual cost negated" (-2) (Graph.icost g r);
   Alcotest.(check int) "residual capacity" 5 (Graph.residual_capacity g a);
-  Alcotest.(check int) "partner starts empty" 0
-    (Graph.residual_capacity g (a lxor 1));
+  Alcotest.(check int) "partner starts empty" 0 (Graph.residual_capacity g r);
   Graph.push g a 2;
   Alcotest.(check int) "flow" 2 (Graph.flow g a);
+  Alcotest.(check int) "partner flow negated" (-2) (Graph.flow g r);
   Alcotest.(check int) "capacity decreased" 3 (Graph.residual_capacity g a);
-  Alcotest.(check int) "partner grew" 2 (Graph.residual_capacity g (a lxor 1));
-  Graph.push g (a lxor 1) 1;
+  Alcotest.(check int) "partner grew" 2 (Graph.residual_capacity g r);
+  Graph.push g r 1;
   Alcotest.(check int) "push back cancels" 1 (Graph.flow g a);
   Graph.reset_flow g;
   Alcotest.(check int) "reset" 0 (Graph.flow g a);
-  Alcotest.(check int) "reset partner" 0 (Graph.residual_capacity g (a lxor 1));
-  ignore b
+  Alcotest.(check int) "reset partner" 0 (Graph.residual_capacity g r)
 
 let test_graph_excess () =
   let g = Graph.create ~num_nodes:4 in
-  let a1 = Graph.add_arc g ~src:0 ~dst:1 ~capacity:2 ~icost:0 in
-  let a2 = Graph.add_arc g ~src:1 ~dst:2 ~capacity:2 ~icost:0 in
-  Graph.push g a1 2;
-  Graph.push g a2 1;
+  let e1 = Graph.add_arc g ~src:0 ~dst:1 ~capacity:2 ~icost:0 in
+  let e2 = Graph.add_arc g ~src:1 ~dst:2 ~capacity:2 ~icost:0 in
+  Graph.finalize_csr g;
+  Graph.push g (Graph.arc_of_edge g e1) 2;
+  Graph.push g (Graph.arc_of_edge g e2) 1;
   Alcotest.(check int) "inner node excess" 1 (Graph.excess g 1);
   Alcotest.(check int) "source excess" (-2) (Graph.excess g 0);
   Alcotest.(check int) "sink side" 1 (Graph.excess g 2);
   Alcotest.(check int) "isolated node" 0 (Graph.excess g 3)
+
+(* Flow around a self-loop leaves and re-enters its node: [excess] and the
+   conservation audit must both net it to 0. *)
+let test_graph_excess_self_loop () =
+  let g = Graph.create ~num_nodes:3 in
+  let e01 = Graph.add_arc g ~src:0 ~dst:1 ~capacity:1 ~icost:0 in
+  let loop = Graph.add_arc g ~src:1 ~dst:1 ~capacity:2 ~icost:0 in
+  let e12 = Graph.add_arc g ~src:1 ~dst:2 ~capacity:1 ~icost:0 in
+  Graph.finalize_csr g;
+  List.iter
+    (fun (e, k) -> Graph.push g (Graph.arc_of_edge g e) k)
+    [ (e01, 1); (loop, 2); (e12, 1) ];
+  Alcotest.(check int) "loop carries flow" 2
+    (Graph.flow g (Graph.arc_of_edge g loop));
+  Alcotest.(check int) "loop node balanced" 0 (Graph.excess g 1);
+  Alcotest.(check int) "source" (-1) (Graph.excess g 0);
+  Alcotest.(check int) "sink" 1 (Graph.excess g 2);
+  Geacc_check.Audit.Flow.check_conservation ~site:"test" g ~source:0 ~sink:2
 
 (* One integer Dijkstra pass from [source] with zero potentials, so the
    returned distances are true distances. *)
@@ -325,6 +350,7 @@ let test_mcf_agrees_with_maxflow () =
     let g = random_graph rng ~n:8 ~arcs:18 in
     let g' = Graph.create ~num_nodes:8 in
     (* Duplicate structure for the max-flow oracle. *)
+    Graph.finalize_csr g;
     Graph.fold_forward_arcs g ~init:() ~f:(fun () a ->
         ignore
           (Graph.add_arc g' ~src:(Graph.src g a) ~dst:(Graph.dst g a)
@@ -339,6 +365,8 @@ let suite =
   [
     Alcotest.test_case "graph basics" `Quick test_graph_basics;
     Alcotest.test_case "graph excess" `Quick test_graph_excess;
+    Alcotest.test_case "graph excess nets a self-loop" `Quick
+      test_graph_excess_self_loop;
     Alcotest.test_case "dijkstra diamond" `Quick test_dijkstra_diamond;
     Alcotest.test_case "dijkstra respects capacity" `Quick
       test_dijkstra_respects_capacity;

@@ -235,7 +235,7 @@ type value =
 
 (* Array tokens: identity and length are immutable, so tokens live in
    global (per-cmt) tables and survive every havoc. [tok_content] holds an
-   invariant-typed element range (e.g. csr_dst holds node ids); it is
+   invariant-typed element range (e.g. a graph's dst_ holds node ids); it is
    cleared when the array is passed to an unknown mutator. *)
 let tok_counter = ref 0
 let sym_counter = ref 0
@@ -251,7 +251,6 @@ type env = {
   refs : value SMap.t; (* contents of local ref cells *)
   paths : (value * bool) SMap.t; (* "root#field" snapshot, is-mutable *)
   facts : (affine * affine) list; (* append-only: a <= b *)
-  csr : unit SMap.t; (* Graph roots with csr_valid known to hold *)
   dead : bool; (* control cannot reach here *)
 }
 
@@ -261,7 +260,6 @@ let empty_env =
     refs = SMap.empty;
     paths = SMap.empty;
     facts = [];
-    csr = SMap.empty;
     dead = false;
   }
 
@@ -416,7 +414,6 @@ let join_env e1 e2 =
           (fun (a, m) (b, _) -> Some (join_value e1.facts e2.facts a b, m))
           e1.paths e2.paths;
       facts = inter_facts e1.facts e2.facts;
-      csr = meet (fun () () -> Some ()) e1.csr e2.csr;
       dead = false;
     }
 
@@ -434,7 +431,6 @@ let havoc_root env root =
                || (String.length key > String.length root
                   && String.sub key 0 (String.length root + 1) = root ^ "#"))))
         env.paths;
-    csr = SMap.remove root env.csr;
   }
 
 (* An unknown call: every ref cell and every mutable snapshot may have
@@ -445,7 +441,6 @@ let full_havoc env =
     env with
     refs = SMap.empty;
     paths = SMap.filter (fun _ (_, mut) -> not mut) env.paths;
-    csr = SMap.empty;
   }
 
 let root_of_value = function Root r -> Some r | _ -> None
@@ -590,66 +585,38 @@ let fact_le env va vb =
 
 let len_of v = Option.map len_aff (tok_of v)
 
-(* Graph core: num_nodes/count/head plus the arc-store arrays, with
-   the invariants from graph.ml's header. Idempotent — existing snapshots
-   (including ones from a literal record construction) are reused. *)
+(* Graph CSR geometry, with the invariants from graph.ml's header. They
+   hold from [create] on (count = 0 over empty columns, a zeroed offset
+   table) and [finalize_csr] re-establishes them in one step, so they are
+   seeded for every graph root. Idempotent — existing snapshots (including
+   ones from a literal record construction) are reused. *)
 let materialize_graph env r =
   let env, nv = get_path env r "num_nodes" ~mut:false `Int in
   let env, cv = get_path env r "count" ~mut:true `Int in
-  let env, head = get_path env r "head" ~mut:false `Arr in
-  let env, next = get_path env r "next" ~mut:true `Arr in
+  let env, off = get_path env r "offset" ~mut:false `Arr in
   let env, dst_ = get_path env r "dst_" ~mut:true `Arr in
+  let env, icost_ = get_path env r "icost_" ~mut:true `Arr in
   let env, cap_ = get_path env r "cap_" ~mut:true `Arr in
   let env, icap = get_path env r "initial_cap" ~mut:true `Arr in
-  let env, icost_ = get_path env r "icost_" ~mut:true `Arr in
+  let env, rev_ = get_path env r "rev_" ~mut:true `Arr in
   let n = exact_int nv and c = exact_int cv in
   let env = fact_le env (Some (const 0)) n in
   let env = fact_le env (Some (const 0)) c in
-  let env = fact_le env c (len_of next) in
-  let env = fact_le env c (len_of dst_) in
-  let env = fact_le env c (len_of cap_) in
-  let env = fact_le env c (len_of icap) in
-  let env = fact_le env c (len_of icost_) in
-  let env = fact_le env n (len_of head) in
-  let env = fact_le env (len_of head) n in
-  (match (n, c) with
-  | Some n, Some c ->
-      seed_content dst_ (const 0) (aff_shift n (-1));
-      seed_content head (const (-1)) (aff_shift c (-1));
-      seed_content next (const (-1)) (aff_shift c (-1))
-  | _ -> ());
-  env
-
-(* CSR geometry, valid only while [csr_valid t] — callers establish that
-   via finalize_csr, an explicit csr_valid guard, or a callee assert. *)
-let seed_csr env r =
-  let env = materialize_graph env r in
-  let env, off = get_path env r "csr_offset" ~mut:true `Arr in
-  let env, cdst = get_path env r "csr_dst" ~mut:true `Arr in
-  let env, cicost = get_path env r "csr_icost" ~mut:true `Arr in
-  let env, ccap = get_path env r "csr_cap" ~mut:true `Arr in
-  let env, carc = get_path env r "csr_arc" ~mut:true `Arr in
-  let env, apos = get_path env r "arc_pos" ~mut:true `Arr in
-  let n = exact_int (snd (get_path env r "num_nodes" ~mut:false `Int)) in
-  let c = exact_int (snd (get_path env r "count" ~mut:true `Int)) in
+  let env =
+    List.fold_left
+      (fun env col -> fact_le env c (len_of col))
+      env [ dst_; icost_; cap_; icap; rev_ ]
+  in
   let np1 = Option.map (fun a -> aff_shift a 1) n in
   let env = fact_le env np1 (len_of off) in
   let env = fact_le env (len_of off) np1 in
-  let env = fact_le env c (len_of cdst) in
-  let env = fact_le env c (len_of cicost) in
-  let env = fact_le env c (len_of ccap) in
-  let env = fact_le env c (len_of carc) in
-  let env = fact_le env c (len_of apos) in
   (match (n, c) with
   | Some n, Some c ->
-      seed_content cdst (const 0) (aff_shift n (-1));
+      seed_content dst_ (const 0) (aff_shift n (-1));
       seed_content off (const 0) c;
-      seed_content carc (const 0) (aff_shift c (-1));
-      seed_content apos (const 0) (aff_shift c (-1))
+      seed_content rev_ (const 0) (aff_shift c (-1))
   | _ -> ());
-  { env with csr = SMap.add r () env.csr }
-
-let csr_known env r = SMap.mem r env.csr
+  env
 
 (* Bucket-queue core: the three per-bucket columns have exactly 64
    ([Int_bucket_queue.buckets]) slots, fixed at creation. The per-bucket
@@ -906,13 +873,11 @@ let rec eval ss env (e : Typedtree.expression) : env * value =
         let env, bv = eval ss env b in
         match root_of_value bv with
         | Some r ->
-            (* Store-forward: the snapshot is exactly what was written.
-               Any csr claim about this root is gone. *)
+            (* Store-forward: the snapshot is exactly what was written. *)
             ( {
                 env with
                 paths =
                   SMap.add (r ^ "#" ^ lbl.Types.lbl_name) (rv, true) env.paths;
-                csr = SMap.remove r env.csr;
               },
               Top )
         | None -> (env, Top))
@@ -1127,8 +1092,7 @@ and cond ss env (e : Typedtree.expression) bsense : env =
     | Typedtree.Texp_construct (_, cd, []) when cd.Types.cstr_name = "false" ->
         if bsense then { env with dead = true } else env
     | Typedtree.Texp_apply
-        (({ exp_desc = Typedtree.Texp_ident (path, _, vd); _ } as _f), args)
-      -> (
+        ({ exp_desc = Typedtree.Texp_ident (_, _, vd); _ }, args) -> (
         let argl = List.filter_map snd args in
         match (prim_name vd, argl) with
         | Some "%boolnot", [ a ] -> cond ss env a (not bsense)
@@ -1165,17 +1129,7 @@ and cond ss env (e : Typedtree.expression) bsense : env =
               | ("%equal" | "%eq"), true | ("%notequal" | "%noteq"), false ->
                   rel `Eq false
               | _ -> rel `Ne false)
-        | None, _ -> (
-            match ref_target ~unit_name:ss.ss_unit ~aliases:ss.ss_aliases path with
-            | Some ("Graph", "csr_valid") -> (
-                match argl with
-                | [ g ] -> (
-                    let env, gv = eval ss env g in
-                    match root_of_value gv with
-                    | Some r when bsense -> seed_csr env r
-                    | _ -> env)
-                | _ -> fst (eval ss env e))
-            | _ -> fst (eval ss env e))
+        | None, _ -> fst (eval ss env e)
         | Some p, args ->
             if debug_all then
               Printf.eprintf "DEBUG cond-skip prim=%s arity=%d\n" p
@@ -1417,12 +1371,8 @@ and call_prim ss env e ?(licensed = false) p argl =
 (* ---------- named calls: models, stdlib, unknown ---------- *)
 
 and call_named ss env e (base, name) argl =
-  (* Contract-licence discipline for unsafe_* calls. The csr slice
-     accessors get a sharper, csr-aware check in the Graph model. *)
-  let is_csr_accessor =
-    String.length name >= 11 && String.sub name 0 11 = "unsafe_csr_"
-  in
-  if is_unsafe_name name && not is_csr_accessor then begin
+  (* Contract-licence discipline for unsafe_* calls. *)
+  if is_unsafe_name name then begin
     let file = e.exp_loc.Location.loc_start.Lexing.pos_fname in
     match licence_at e.exp_loc with
     | L_none ->
@@ -1497,7 +1447,7 @@ and unknown_call_evaluated _ss env (e : Typedtree.expression) =
 (* ---------- the Graph model ---------- *)
 
 (* Caller-side summaries of Geacc_flow.Graph. The narrowings echo the
-   callee's own asserts (check_arc / check_pos / the out_begin asserts);
+   callee's own asserts (check_arc / the out_begin asserts);
    push/reset_flow/unsafe_set_residual_capacity are benign: they touch
    only capacity cells, never the counts or the field bindings. *)
 and graph_model ss env e name argl =
@@ -1575,19 +1525,11 @@ and graph_model ss env e name argl =
       with_root (fun env r rest ->
           let env, _, c = counts env r in
           Some (narrow1 env rest (Some (const 0)) (pred c), Top))
-  | "check_pos" ->
+  | "rev" ->
       with_root (fun env r rest ->
-          let env = seed_csr env r in
           let env, _, c = counts env r in
-          Some (narrow1 env rest (Some (const 0)) (pred c), Top))
-  | "partner" -> (
-      (* partner a = a lxor 1: pairs 2k <-> 2k+1, so any [0, count) range
-         is preserved (documented pairing assumption, see DESIGN.md §13). *)
-      match argl with
-      | [ a ] ->
-          let env, va = eval ss env a in
-          Some (env, va)
-      | _ -> None)
+          let env = narrow1 env rest (Some (const 0)) (pred c) in
+          Some (env, bounds (Some (const 0)) (pred c)))
   | "dst" | "src" ->
       with_root (fun env r rest ->
           let env, n, c = counts env r in
@@ -1608,34 +1550,26 @@ and graph_model ss env e name argl =
           let env, n, _ = counts env r in
           let env = narrow1 env rest (Some (const 0)) (pred n) in
           ret_default env)
-  | "csr_valid" ->
-      with_root (fun env r rest ->
-          let env = materialize_graph env r in
-          ignore r;
-          let env =
-            List.fold_left (fun env x -> fst (eval ss env x)) env rest
-          in
-          Some (env, Top))
   | "push" | "unsafe_set_residual_capacity" ->
       with_root (fun env r rest ->
           let env, _, c = counts env r in
           let env = narrow1 env rest (Some (const 0)) (pred c) in
-          clear_content env r [ "cap_"; "csr_cap" ];
+          clear_content env r [ "cap_" ];
           Some (env, Top))
   | "reset_flow" ->
       with_root (fun env r rest ->
           let env =
             List.fold_left (fun env x -> fst (eval ss env x)) env rest
           in
-          clear_content env r [ "cap_"; "csr_cap" ];
+          clear_content env r [ "cap_" ];
           Some (env, Top))
-  | "add_arc" | "add_half" ->
+  | "add_arc" ->
       with_root (fun env r rest ->
           let env =
             List.fold_left (fun env x -> fst (eval ss env x)) env rest
           in
           ret_default (havoc_root env r))
-  | "reserve" | "ensure_capacity" ->
+  | "reserve" ->
       with_root (fun env r rest ->
           let env =
             List.fold_left (fun env x -> fst (eval ss env x)) env rest
@@ -1646,76 +1580,27 @@ and graph_model ss env e name argl =
           let env =
             List.fold_left (fun env x -> fst (eval ss env x)) env rest
           in
-          Some (seed_csr (havoc_root env r) r, Top))
-  | "first_out_arc" ->
-      with_root (fun env r rest ->
-          let env, n, c = counts env r in
-          let env = narrow1 env rest (Some (const 0)) (pred n) in
-          Some (env, bounds (Some (const (-1))) (pred c)))
-  | "next_out_arc" ->
-      with_root (fun env r rest ->
-          let env, _, c = counts env r in
-          let env = narrow1 env rest (Some (const 0)) (pred c) in
-          Some (env, bounds (Some (const (-1))) (pred c)))
+          Some (materialize_graph (havoc_root env r) r, Top))
   | "out_begin" | "out_end" ->
       with_root (fun env r rest ->
-          let env = seed_csr env r in
           let env, n, c = counts env r in
           let env = narrow1 env rest (Some (const 0)) (pred n) in
           Some (env, bounds (Some (const 0)) c))
-  | "pos_dst" ->
+  | "unsafe_csr_dst" | "unsafe_csr_icost" | "unsafe_csr_cap" ->
       with_root (fun env r rest ->
-          let env = seed_csr env r in
-          let env, n, c = counts env r in
-          let env = narrow1 env rest (Some (const 0)) (pred c) in
-          Some (env, bounds (Some (const 0)) (pred n)))
-  | "pos_icost" | "pos_residual_capacity" ->
-      with_root (fun env r rest ->
-          let env = seed_csr env r in
-          let env, _, c = counts env r in
-          let env = narrow1 env rest (Some (const 0)) (pred c) in
-          ret_default env)
-  | "pos_arc" | "arc_position" ->
-      with_root (fun env r rest ->
-          let env = seed_csr env r in
-          let env, _, c = counts env r in
-          let env = narrow1 env rest (Some (const 0)) (pred c) in
-          Some (env, bounds (Some (const 0)) (pred c)))
-  | "unsafe_csr_dst" | "unsafe_csr_icost" | "unsafe_csr_cap" | "unsafe_csr_arc"
-    ->
-      with_root (fun env r rest ->
-          (* The licence must hold *at the call*: the caller owes the
-             analyzer an established csr_valid (finalize_csr or a guard)
-             on this root. The callee's own assert then re-seeds. *)
-          let file = e.exp_loc.Location.loc_start.Lexing.pos_fname in
-          (match licence_at e.exp_loc with
-          | L_none ->
-              report e.exp_loc "bounds-unlicensed"
-                (Printf.sprintf
-                   "call to Graph.%s without a `bounds: proved — <reason>` \
-                    licence"
-                   name)
-          | L_bare ->
-              report e.exp_loc "bounds-unlicensed"
-                (Printf.sprintf
-                   "call to Graph.%s under a bare licence (no reason stated)"
-                   name)
-          | L_reasoned ->
-              if csr_known env r then count file true
-              else
-                report e.exp_loc "bounds-unproved"
-                  (Printf.sprintf
-                     "stale licence: csr_valid not established for this graph \
-                      before Graph.%s"
-                     name));
-          let env = seed_csr env r in
-          let field = String.sub name 7 (String.length name - 7) in
+          let env = materialize_graph env r in
+          let field =
+            match name with
+            | "unsafe_csr_dst" -> "dst_"
+            | "unsafe_csr_icost" -> "icost_"
+            | _ -> "cap_"
+          in
           let env, v = get_path env r field ~mut:true `Arr in
           let env =
             List.fold_left (fun env x -> fst (eval ss env x)) env rest
           in
           Some (env, v))
-  | "iter_out_arcs" | "fold_forward_arcs" ->
+  | "fold_forward_arcs" ->
       with_root (fun env _r rest ->
           let env =
             List.fold_left (fun env x -> fst (eval ss env x)) env rest
@@ -1771,8 +1656,8 @@ and bucket_model ss env e name argl =
    derived quantities (at, 2*at+1, 2*at+2) correlated affines over the
    same symbol, which the narrowing facts then relate to the seeds.
    Candidates must hold at entry (so zero-iteration paths stay sound) and
-   are verified to be re-established at the end of every body run; paths /
-   csr claims survive only if stable through the body. The body is
+   are verified to be re-established at the end of every body run; paths
+   survive only if stable through the body. The body is
    re-analyzed silently until the candidate set converges, then once more
    with reporting on. *)
 and loop_fix _ss env0 ~entry_facts ?(exclude = -1) run_body =
@@ -1828,13 +1713,11 @@ and loop_fix _ss env0 ~entry_facts ?(exclude = -1) run_body =
   in
   let unstable = ref SMap.empty in
   let kept_paths = ref (SMap.map (fun _ -> ()) env0.paths) in
-  let kept_csr = ref env0.csr in
   let build_head () =
     let env =
       {
         env0 with
         paths = SMap.filter (fun k _ -> SMap.mem k !kept_paths) env0.paths;
-        csr = !kept_csr;
       }
     in
     let env =
@@ -1911,10 +1794,7 @@ and loop_fix _ss env0 ~entry_facts ?(exclude = -1) run_body =
                     changed := true;
                     false)
             | None -> false)
-          !kept_paths;
-      let csr' = SMap.filter (fun r () -> SMap.mem r e.csr) !kept_csr in
-      if SMap.cardinal csr' <> SMap.cardinal !kept_csr then changed := true;
-      kept_csr := csr'
+          !kept_paths
     end;
     if !changed then head := build_head ()
   done;

@@ -8,7 +8,7 @@
    per-function *effect summary* — writes-shared-mutable,
    reads-nondeterminism-source, polls-budget, raises, allocates-in-loop —
    and closes it over the project call graph with a bounded fixpoint, then
-   enforces the three contracts PRs 3–5 introduced in prose:
+   enforces the solver contracts the earlier stages state in prose:
 
    - [par-shared-write]    (R) a chunk body passed to [parallel_for] /
                            [parallel_map_chunked] / [parallel_reduce] writes
@@ -30,42 +30,22 @@
                            [Budget.check] / [Budget.check_now] in its body's
                            call closure, so the loop cannot be cancelled by
                            a deadline.
-   - [csr-mirror-write]    (T) a direct write to a [Graph.t] arc-store or
-                           CSR-mirror field ([csr_icost], [csr_cap], [cap_],
-                           ...) outside the trusted lib/flow + lib/check
-                           modules, which would desynchronise the positional
-                           mirror behind [Graph.push]'s back.
    - [suppress-no-reason]  a suppression tag with no justification text.
    - [cmt-error]           a [.cmt] the compiler's reader rejects.
 
    Suppression grammar (on the offending line or the line above):
      (* race: ok — <reason> *)    for par-shared-write / par-nondet
      (* poll: ok — <reason> *)    for poll-missing
-     (* mirror: ok — <reason> *)  for csr-mirror-write
    The reason is mandatory; a bare tag reports suppress-no-reason instead.
    Exit status: 0 clean, 1 diagnostics reported, 2 usage. *)
 
 (* ---------- scopes ---------- *)
 
-(* (P) is scoped to the solver kernels that own deadlines; (T) trusts the
-   flow layer itself plus the audit layer (which corrupts deliberately). *)
+(* (P) is scoped to the solver kernels that own deadlines. *)
 let poll_markers = [ "lib/core/"; "lib/flow/" ]
-let mirror_trusted_markers = [ "lib/flow/"; "lib/check/" ]
 
 let in_poll_scope path =
   List.exists (Lint_core.contains_marker path) poll_markers
-
-let mirror_trusted path =
-  List.exists (Lint_core.contains_marker path) mirror_trusted_markers
-
-(* Fields of Graph.t whose coherence Graph.push / reset_flow maintain: the
-   arc store and its positional CSR mirror. *)
-let graph_protected_fields =
-  [
-    "next"; "dst_"; "cap_"; "initial_cap"; "icost_"; "count";
-    "csr_count"; "csr_offset"; "csr_dst"; "csr_icost"; "csr_cap";
-    "csr_arc"; "arc_pos";
-  ]
 
 (* ---------- diagnostics ---------- *)
 
@@ -84,7 +64,6 @@ let source_lines file =
 let tag_of_rule = function
   | "par-shared-write" | "par-nondet" -> "race"
   | "poll-missing" -> "poll"
-  | "csr-mirror-write" -> "mirror"
   | rule -> rule
 
 let report (loc : Location.t) rule message =
@@ -211,12 +190,6 @@ let raising_call = function
    here. *)
 let ref_write_prims = [ "%setfield0"; "%incr"; "%decr" ]
 let bytes_write_prims = [ "%bytes_safe_set"; "%bytes_unsafe_set" ]
-let array_write_prims =
-  [
-    "%array_safe_set"; "%array_unsafe_set"; "%floatarray_safe_set";
-    "%floatarray_unsafe_set";
-  ]
-
 let bigarray_write_prim name =
   String.length name >= 13 && String.sub name 0 13 = "%caml_ba_set_"
   || String.length name >= 20 && String.sub name 0 20 = "%caml_ba_unsafe_set_"
@@ -290,12 +263,6 @@ let cmp_arg_type fn_ty =
   match Types.get_desc fn_ty with
   | Types.Tarrow (_, t1, _, _) -> Some t1
   | _ -> None
-
-let is_graph_type ty =
-  match Types.get_desc ty with
-  | Types.Tconstr (Path.Pdot (m, _), _, _) ->
-      String.equal (norm_unit (Path.last m)) "Graph"
-  | _ -> false
 
 (* ---------- per-cmt scan state ---------- *)
 
@@ -387,29 +354,7 @@ let note_callee st key =
 
 let in_chunk st = st.ss_chunks <> []
 
-(* ---------- the three rule families, at one expression ---------- *)
-
-(* (T) fires on any untrusted write through a Graph.t protected field,
-   whether as a record-field store or an element store into the field's
-   array. *)
-let check_mirror_setfield (recd : Typedtree.expression) lbl_name loc =
-  if
-    List.exists (String.equal lbl_name) graph_protected_fields
-    && is_graph_type recd.exp_type
-    && not (mirror_trusted loc.Location.loc_start.Lexing.pos_fname)
-  then
-    report loc "csr-mirror-write"
-      (Printf.sprintf
-         "direct write through Graph.%s outside lib/flow//lib/check \
-          desynchronises the CSR positional mirror; go through Graph.push / \
-          reset_flow or the audit layer"
-         lbl_name)
-
-let check_mirror_array_store (arr : Typedtree.expression) loc =
-  match arr.exp_desc with
-  | Typedtree.Texp_field (recd, _, lbl) ->
-      check_mirror_setfield recd lbl.Types.lbl_name loc
-  | _ -> ()
+(* ---------- the two rule families, at one expression ---------- *)
 
 (* (R), direct form: a mutation primitive inside a chunk body whose target
    was not bound inside the chunk. *)
@@ -594,7 +539,6 @@ let scan_structure ~unit_name str =
        | _ -> ());
     match e.exp_desc with
     | Texp_setfield (recd, _, lbl, v) ->
-        check_mirror_setfield recd lbl.Types.lbl_name e.exp_loc;
         let head = write_head recd in
         (match head with
         | Head_local id when def_local st id -> ()
@@ -638,8 +582,6 @@ let scan_structure ~unit_name str =
             if in_chunk st then
               check_chunk_write st ~what:"the Bigarray" (write_head a)
                 e.exp_loc
-        | Some a when List.mem name array_write_prims ->
-            check_mirror_array_store a e.exp_loc
         | _ -> ());
         (match name with
         | "%eq" | "%noteq" when in_chunk st -> (
@@ -962,7 +904,7 @@ let dump_summaries () =
 let () =
   let rules =
     [
-      "par-shared-write"; "par-nondet"; "poll-missing"; "csr-mirror-write";
+      "par-shared-write"; "par-nondet"; "poll-missing";
       "suppress-no-reason"; "cmt-error";
     ]
   in
