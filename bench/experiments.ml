@@ -533,41 +533,6 @@ let ablation_prune profile =
     variants;
   Table.print table
 
-(* The index backends the paper names as candidates (kd-tree stand-in for
-   best-first search, VA-File, iDistance) against the linear-scan baseline:
-   identical arrangements by construction, differing sigma(S) costs. *)
-let ablation_index profile =
-  let cfg =
-    if profile.full then { Synthetic.default with Synthetic.n_users = 2000 }
-    else { Synthetic.default with Synthetic.n_users = 1000 }
-  in
-  let table =
-    Table.create
-      ~title:
-        (Format.asprintf
-           "Ablation: NN index backends under Greedy-GEACC (%a)"
-           Synthetic.pp_config cfg)
-      ~headers:
-        [ "backend"; "time (ms)"; "mem (MB)"; "MaxSum" ]
-  in
-  List.iter
-    (fun (b : Geacc_index.Nn_backend.t) ->
-      Printf.eprintf "[bench] ablation-index: %s\n%!" b.Geacc_index.Nn_backend.name;
-      let make () = Synthetic.generate ~seed:1 ~backend:b cfg in
-      let m, secs = Measure.time (fun () -> Greedy.solve (make ())) in
-      let _, mem, _ =
-        Measure.run_with_peak (fun () -> Greedy.solve (make ()))
-      in
-      Table.add_row table
-        [
-          b.Geacc_index.Nn_backend.name;
-          Printf.sprintf "%.1f" (secs *. 1000.);
-          Printf.sprintf "%.1f" (float_of_int mem /. 1048576.);
-          Printf.sprintf "%.2f" (Matching.maxsum m);
-        ])
-    Geacc_index.Nn_backend.all;
-  Table.print table
-
 (* Local-search post-optimisation: how much of the greedy-vs-optimal gap
    the replace moves recover (extension beyond the paper). *)
 let ablation_local_search profile =
@@ -967,9 +932,6 @@ let all : (string * string * (profile -> unit)) list =
     ( "ablation-ls",
       "Ablation: local-search post-optimisation of Greedy",
       ablation_local_search );
-    ( "ablation-index",
-      "Ablation: kd / linear / VA-File / iDistance backends",
-      ablation_index );
     ( "ablation-online",
       "Ablation: online arrivals vs offline algorithms",
       ablation_online );

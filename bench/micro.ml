@@ -74,21 +74,23 @@ let dijkstra_test =
            ~queue:(Geacc_pqueue.Int_bucket_queue.create ())
            ~stop_at:500 ()))
 
-let kd_test =
+(* One neighbour stream opened and drained rank by rank: the full distance
+   scan plus every quickselect extension of the sorted prefix. *)
+let nn_stream_test =
   let points =
     Array.init 2000 (fun i ->
-        Array.init 8 (fun k -> float_of_int ((i * (k + 13)) mod 997)))
+        Array.init 20 (fun k -> float_of_int ((i * (k + 13)) mod 997)))
   in
-  let tree = lazy (Geacc_index.Kd_tree.build points) in
-  Test.make ~name:"kd-tree 10-NN query (2k pts, d=8)"
+  let query = Array.init 20 (fun k -> float_of_int (50 * k)) in
+  Test.make ~name:"nn_stream drain (2k pts, d=20)"
     (Staged.stage (fun () ->
-         let tree = Lazy.force tree in
-         ignore
-           (Geacc_index.Kd_tree.nearest tree
-              (Array.init 8 (fun k -> float_of_int (100 * k)))
-              ~k:10)))
+         let s = Geacc_index.Nn_stream.create points query in
+         let rank = ref 1 in
+         while Option.is_some (Geacc_index.Nn_stream.get s !rank) do
+           incr rank
+         done))
 
-(* Multicore substrate: the two parallelised construction kernels at jobs=1
+(* Multicore substrate: the parallelised network construction at jobs=1
    (exact sequential path, the no-regression guard) and jobs=4 (domain-pool
    path; gains scale with hardware threads). Outputs are byte-identical by
    the pool's determinism contract — only the timing may differ. *)
@@ -102,17 +104,6 @@ let mcf_build_test ~jobs =
     (Staged.stage (fun () ->
          let instance = Lazy.force mcf_instance in
          ignore (Geacc_core.Mincostflow.build_network ~jobs instance)))
-
-let kd_build_points =
-  lazy
-    (Array.init 50_000 (fun i ->
-         Array.init 8 (fun k -> float_of_int ((i * (k + 13)) mod 9973))))
-
-let kd_build_test ~jobs =
-  Test.make ~name:(Printf.sprintf "kd-tree build (50k pts, d=8) jobs=%d" jobs)
-    (Staged.stage (fun () ->
-         let points = Lazy.force kd_build_points in
-         ignore (Geacc_index.Kd_tree.build ~jobs points)))
 
 (* Budget polling overhead: the same solver run with a disarmed budget
    (the default) and with an armed budget whose deadline is far away, so
@@ -140,11 +131,9 @@ let tests =
         tiny_instance;
       heap_test;
       dijkstra_test;
-      kd_test;
+      nn_stream_test;
       mcf_build_test ~jobs:1;
       mcf_build_test ~jobs:4;
-      kd_build_test ~jobs:1;
-      kd_build_test ~jobs:4;
     ]
 
 let run () =

@@ -26,14 +26,11 @@ let check_fault_plan () =
   | None -> ()
   | Some e -> die "malformed GEACC_FAULTS: %s" e
 
-let load_instance_or_die ?backend path =
+let load_instance_or_die path =
   check_fault_plan ();
   match Geacc_io.Instance_io.read_instance_result ~path with
   | Error e -> die "%s" (Robust.Error.to_string e)
-  | Ok instance -> (
-      match backend with
-      | None -> instance
-      | Some b -> Instance.with_backend instance b)
+  | Ok instance -> instance
 
 let setup_logs style_renderer level =
   Fmt_tty.setup_std_outputs ?style_renderer ();
@@ -52,24 +49,6 @@ let seed_arg =
 let instance_arg =
   let doc = "Path to a geacc-instance file." in
   Arg.(required & opt (some file) None & info [ "instance"; "i" ] ~docv:"FILE" ~doc)
-
-let backend_conv =
-  let parse s =
-    Geacc_index.Nn_backend.of_string s |> Result.map_error (fun e -> `Msg e)
-  in
-  let print ppf (b : Geacc_index.Nn_backend.t) =
-    Format.pp_print_string ppf b.Geacc_index.Nn_backend.name
-  in
-  Arg.conv (parse, print)
-
-let index_arg =
-  Arg.(
-    value
-    & opt (some backend_conv) None
-    & info [ "index" ] ~docv:"BACKEND"
-        ~doc:
-          "NN index backend serving the solvers' neighbour queries: kd \
-           (default), linear, vafile or idistance.")
 
 let algorithm_conv =
   let parse s = Solver.of_string s |> Result.map_error (fun e -> `Msg e) in
@@ -333,17 +312,17 @@ let solve_cmd =
       & opt (some int) None
       & info [ "jobs"; "j" ] ~docv:"N"
           ~doc:
-            "Worker domains for the parallel phases (network construction, \
-             index build). Defaults to $(b,GEACC_JOBS) or 1. Results are \
-             byte-identical for every N.")
+            "Worker domains for the parallel phase (network construction). \
+             Defaults to $(b,GEACC_JOBS) or 1. Results are byte-identical \
+             for every N.")
   in
-  let run () instance_path algorithm out seed backend timeout stage_timeout
+  let run () instance_path algorithm out seed timeout stage_timeout
       fallback max_retries order jobs =
     (match jobs with
     | None -> ()
     | Some j when j >= 1 -> Geacc_par.Pool.set_default_jobs j
     | Some j -> die "--jobs expects a positive integer, got %d" j);
-    let instance = load_instance_or_die ?backend instance_path in
+    let instance = load_instance_or_die instance_path in
     match order with
     | Some order ->
         if algorithm <> Solver.Online then
@@ -373,7 +352,7 @@ let solve_cmd =
   let term =
     Term.(
       const run $ logs_term $ instance_arg $ algorithm $ out $ seed_arg
-      $ index_arg $ timeout $ stage_timeout $ fallback $ max_retries $ order
+      $ timeout $ stage_timeout $ fallback $ max_retries $ order
       $ jobs)
   in
   Cmd.v

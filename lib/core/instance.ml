@@ -1,15 +1,14 @@
-module Nn_backend = Geacc_index.Nn_backend
+module Nn_stream = Geacc_index.Nn_stream
 
 (* Lazily-built neighbour source for one direction of queries (e.g. events
-   querying users). [Indexed] serves ranks from an incremental NN stream of
-   the instance's index backend per querying node; [Scanned] caches a full
-   sorted scan per node (fallback for similarities that are not monotone in
-   distance). *)
+   querying users). [Indexed] serves ranks from an NN stream over the
+   target points per querying node; [Scanned] caches a full sorted scan per
+   node (fallback for similarities that are not monotone in distance). *)
 type source =
   | Indexed of {
       profile : Similarity.profile;
-      index : Nn_backend.index;
-      streams : Nn_backend.stream option array;  (* per querying node *)
+      points : Geacc_index.Point.t array;  (* the targets' attributes *)
+      streams : Nn_stream.t option array;  (* per querying node *)
     }
   | Scanned of { sorted : (int * float) array option array }
 
@@ -18,13 +17,12 @@ type t = {
   users : Entity.t array;
   conflicts : Conflict.t;
   similarity : Similarity.t;
-  backend : Nn_backend.t;
   dim : int;
   mutable event_queries : source option;  (* events asking for users *)
   mutable user_queries : source option;   (* users asking for events *)
 }
 
-let create ~sim ?(backend = Nn_backend.kd_tree) ~events ~users ~conflicts () =
+let create ~sim ~events ~users ~conflicts () =
   let dim =
     if Array.length events > 0 then Entity.dim events.(0)
     else if Array.length users > 0 then Entity.dim users.(0)
@@ -52,7 +50,6 @@ let create ~sim ?(backend = Nn_backend.kd_tree) ~events ~users ~conflicts () =
     users;
     conflicts;
     similarity = sim;
-    backend;
     dim;
     event_queries = None;
     user_queries = None;
@@ -96,19 +93,14 @@ let max_event_capacity t = max_capacity t.events
 let max_user_capacity t = max_capacity t.users
 
 let build_source t ~targets =
+  let n_queriers =
+    if targets == t.users then Array.length t.events else Array.length t.users
+  in
   match Similarity.dist_profile t.similarity with
   | Some profile ->
       let points = Array.map (fun (e : Entity.t) -> e.Entity.attrs) targets in
-      let index = t.backend.Nn_backend.build points in
-      let n_queriers =
-        if targets == t.users then Array.length t.events else Array.length t.users
-      in
-      Indexed { profile; index; streams = Array.make n_queriers None }
-  | None ->
-      let n_queriers =
-        if targets == t.users then Array.length t.events else Array.length t.users
-      in
-      Scanned { sorted = Array.make n_queriers None }
+      Indexed { profile; points; streams = Array.make n_queriers None }
+  | None -> Scanned { sorted = Array.make n_queriers None }
 
 let event_source t =
   match t.event_queries with
@@ -146,7 +138,7 @@ let scan_sorted t ~query_is_event ~node =
 let neighbor t source ~query_is_event ~node ~rank =
   assert (rank >= 1);
   match source with
-  | Indexed { profile; index; streams } ->
+  | Indexed { profile; points; streams } ->
       let stream =
         match streams.(node) with
         | Some s -> s
@@ -156,13 +148,12 @@ let neighbor t source ~query_is_event ~node ~rank =
               else t.users.(node).Entity.attrs
             in
             let s =
-              index.Nn_backend.stream ~query
-                ~max_dist:profile.Similarity.cutoff
+              Nn_stream.create ~max_dist:profile.Similarity.cutoff points query
             in
             streams.(node) <- Some s;
             s
       in
-      (match stream.Nn_backend.get rank with
+      (match Nn_stream.get stream rank with
       | None -> None
       | Some (idx, dist) ->
           let s = profile.Similarity.sim_of_dist dist in
@@ -193,7 +184,7 @@ let prepare_event_queries t = ignore (event_source t : source)
    [event_neighbor] this touches no per-node caches — the indexed path
    opens a fresh stream per call and the scanned path computes directly —
    so after [prepare_event_queries] has forced the shared (read-only)
-   index, concurrent calls from pool workers are safe.
+   point array, concurrent calls from pool workers are safe.
 
    The indexed path recovers similarities through the distance profile,
    whose contract ([sim_of_dist (dist lv lu) = eval lv lu]) makes them
@@ -206,15 +197,15 @@ let candidate_users t ~v =
   match t.event_queries with
   | None ->
       invalid_arg "Instance.candidate_users: call prepare_event_queries first"
-  | Some (Indexed { profile; index; streams = _ }) ->
+  | Some (Indexed { profile; points; streams = _ }) ->
       let stream =
-        index.Nn_backend.stream ~query:t.events.(v).Entity.attrs
-          ~max_dist:profile.Similarity.cutoff
+        Nn_stream.create ~max_dist:profile.Similarity.cutoff points
+          t.events.(v).Entity.attrs
       in
       let acc = ref [] and count = ref 0 in
       (* poll: ok — the stream stops at the first rank below the gate; bounded by the candidate count *)
       let rec go rank =
-        match stream.Nn_backend.get rank with
+        match Nn_stream.get stream rank with
         | None -> ()
         | Some (u, dist) ->
             let s = profile.Similarity.sim_of_dist dist in
@@ -252,7 +243,6 @@ let candidate_users t ~v =
 let side_work = function
   | None -> 0
   | Some (Indexed { streams; _ }) ->
-      (* Streams are opaque across backends; count the ones opened. *)
       Array.fold_left
         (fun acc s -> match s with None -> acc | Some _ -> acc + 1)
         0 streams
@@ -262,9 +252,6 @@ let side_work = function
         0 sorted
 
 let neighbor_work t = (side_work t.event_queries, side_work t.user_queries)
-
-let with_backend t backend =
-  { t with backend; event_queries = None; user_queries = None }
 
 (* The prepared query sources depend only on the entities, which are
    unchanged — swapping the conflicts keeps the (expensive) NN state. *)

@@ -6,17 +6,16 @@
     restricted to strictly positive similarity, in deterministic order
     (descending similarity, ties by id).
 
-    Neighbour enumeration is index-backed: when the similarity has a
-    distance profile (see {!Similarity.dist_profile}) a kd-tree per side is
-    built lazily and each node materialises only the prefix of neighbours it
-    actually visits; otherwise a per-node sorted scan is cached on first
-    use. *)
+    Neighbour enumeration is stream-backed: when the similarity has a
+    distance profile (see {!Similarity.dist_profile}) each node opens a
+    {!Geacc_index.Nn_stream} over the other side on first use and
+    materialises only the prefix of neighbours it actually visits;
+    otherwise a per-node sorted scan is cached on first use. *)
 
 type t
 
 val create :
   sim:Similarity.t ->
-  ?backend:Geacc_index.Nn_backend.t ->
   events:Entity.t array ->
   users:Entity.t array ->
   conflicts:Conflict.t ->
@@ -24,9 +23,7 @@ val create :
   t
 (** Validates that all attribute vectors share one dimension, that entity
     ids equal their array positions, and that [conflicts] ranges over the
-    event ids. [backend] selects the NN index serving neighbour queries
-    (default {!Geacc_index.Nn_backend.kd_tree}); it only applies when the
-    similarity has a distance profile. @raise Invalid_argument otherwise. *)
+    event ids. @raise Invalid_argument otherwise. *)
 
 val n_events : t -> int
 val n_users : t -> int
@@ -61,7 +58,7 @@ val user_neighbor : t -> u:int -> rank:int -> (int * float) option
 
 val prepare_event_queries : t -> unit
 (** Forces the event-side neighbour source (for indexed similarities: the
-    NN index over the users) so that subsequent {!candidate_users} calls
+    users' attribute array the streams scan) so that subsequent {!candidate_users} calls
     only read shared state. Must run before querying candidates from pool
     workers — the lazy initialisation itself is not thread-safe. *)
 
@@ -74,15 +71,11 @@ val candidate_users : t -> v:int -> (int * float) array
     {!prepare_event_queries}, concurrent calls are safe.
     @raise Invalid_argument before {!prepare_event_queries} has run. *)
 
-val with_backend : t -> Geacc_index.Nn_backend.t -> t
-(** Same instance data served by a different NN backend, with fresh (cold)
-    neighbour caches. The original is untouched. *)
-
 val with_conflicts : t -> Conflict.t -> t
 (** The same instance (entities, similarity, prepared neighbour-query
     state all shared) under a different conflict graph. Used by the
     serving layer to refresh its cached instance on conflict-only
-    batches without rebuilding the NN index. *)
+    batches without rebuilding the neighbour sources. *)
 
 val neighbor_work : t -> int * int
 (** Diagnostic: how many (event-side, user-side) neighbour streams have

@@ -96,7 +96,7 @@ let build_network ?jobs instance =
   let cand_chunks =
     Pool.parallel_map_chunked ?jobs ~n:n_v (fun ~lo ~hi ->
         Array.init (hi - lo) (fun i ->
-            (* race: ok — candidate_users opens a fresh stream over the shared read-only index; the only mutable reach is Fault.fire's counters, and a fault plan forces jobs = 1 *)
+            (* race: ok — candidate_users opens a fresh stream over the shared read-only point array; the only mutable reach is Fault.fire's counters, and a fault plan forces jobs = 1 *)
             Instance.candidate_users instance ~v:(lo + i)))
   in
   let pair_arcs =

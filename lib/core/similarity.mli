@@ -8,8 +8,8 @@
 
     When a similarity is a decreasing function of Euclidean distance it
     carries a {e distance profile}; index-backed algorithms (Greedy-GEACC,
-    Prune-GEACC) then enumerate neighbours through a kd-tree in descending
-    similarity. Similarities without a profile (e.g. cosine) still work —
+    Prune-GEACC) then enumerate neighbours through a distance stream
+    ({!Geacc_index.Nn_stream}) in descending similarity. Similarities without a profile (e.g. cosine) still work —
     {!Instance} falls back to sorted scans. *)
 
 type profile = {

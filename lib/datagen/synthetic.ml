@@ -79,7 +79,7 @@ let make_side rng cfg n ~capacity_model ~clamp_hi =
       let attrs = Array.init cfg.dim (fun _ -> attr rng) in
       Entity.make ~id ~attrs ~capacity:(capacity rng))
 
-let generate ~seed ?backend cfg =
+let generate ~seed cfg =
   validate cfg;
   let rng = Rng.create ~seed in
   let event_rng = Rng.split rng in
@@ -100,7 +100,7 @@ let generate ~seed ?backend cfg =
       ~ratio:cfg.conflict_ratio
   in
   let sim = Similarity.euclidean ~dim:cfg.dim ~range:cfg.t_max in
-  Instance.create ~sim ?backend ~events ~users ~conflicts ()
+  Instance.create ~sim ~events ~users ~conflicts ()
 
 let pp_attr ppf = function
   | Attr_uniform -> Format.pp_print_string ppf "uniform"

@@ -1,73 +1,33 @@
-(* Two regimes. Shallow ranks are pulled one at a time from the kd-tree
-   cursor. Once a stream is drained past [switch_threshold] ranks — where
-   high-dimensional best-first search stops pruning anything — the stream
-   computes every in-range distance once and then serves ranks from a
-   progressively sorted prefix: each extension quickselects the next chunk
-   (geometrically doubling) and sorts only that chunk, so a stream drained
-   to depth m costs O(n + m log m) rather than O(n log n) up front or
-   O(n) heap work per rank. Both regimes produce the identical
-   (distance, index) order, so switching is invisible to callers. *)
+(* Every in-range distance is computed once at creation; ranks are then
+   served from a progressively sorted prefix: each extension quickselects
+   the next chunk (geometrically doubling) and sorts only that chunk, so a
+   stream drained to depth m costs O(n + m log m) rather than O(n log n)
+   up front or O(n) heap work per rank. *)
 
 type t = {
-  tree : Kd_tree.t;
-  query : Point.t;
-  max_dist : float;
-  switch_threshold : int;
-  mutable cursor : Kd_tree.cursor option;  (* None once bulk-loaded *)
-  mutable idxs : int array;    (* parallel arrays *)
-  mutable dists : float array;
-  mutable len : int;           (* cursor mode: items pulled; bulk mode:
-                                  total in-range items *)
-  mutable sorted_upto : int;   (* bulk mode: prefix in final order *)
-  mutable bulk : bool;
-  mutable exhausted : bool;    (* cursor mode: cursor ran dry *)
+  idxs : int array;  (* parallel arrays over the in-range points *)
+  dists : float array;
+  len : int;
+  mutable sorted_upto : int;  (* prefix [0, sorted_upto) is in final order *)
 }
 
-(* Best-first search pays off only while bounding boxes prune; with
-   dimension this high the first pop already visits most of the tree, so
-   the stream starts directly in bulk mode (cf. the VA-File argument that
-   linear scans dominate tree indexes in high dimension). *)
-let hopeless_dimension tree =
-  Kd_tree.size tree > 0 && Point.dim (Kd_tree.point tree 0) >= 10
-
-let create tree query ?(max_dist = infinity) ?(switch_threshold = 64) () =
-  let t =
-    {
-      tree;
-      query;
-      max_dist;
-      switch_threshold;
-      cursor = Some (Kd_tree.cursor tree query ~max_dist ());
-      idxs = [||];
-      dists = [||];
-      len = 0;
-      sorted_upto = 0;
-      bulk = false;
-      exhausted = false;
-    }
-  in
-  if hopeless_dimension tree then begin
-    t.cursor <- None;
-    t.bulk <- true;
-    t.len <- -1 (* filled by the first access *)
-  end;
-  t
-
-let append t idx dist =
-  if t.len = Array.length t.idxs then begin
-    let capacity = Stdlib.max 8 (2 * t.len) in
-    let idxs = Array.make capacity 0 and dists = Array.make capacity 0. in
-    Array.blit t.idxs 0 idxs 0 t.len;
-    Array.blit t.dists 0 dists 0 t.len;
-    t.idxs <- idxs;
-    t.dists <- dists
-  end;
-  t.idxs.(t.len) <- idx;
-  t.dists.(t.len) <- dist;
-  t.len <- t.len + 1
+let create ?(max_dist = infinity) points query =
+  let n = Array.length points in
+  let idxs = Array.make (Stdlib.max 1 n) 0
+  and dists = Array.make (Stdlib.max 1 n) 0. in
+  let kept = ref 0 in
+  for i = 0 to n - 1 do
+    let d = Point.dist query points.(i) in
+    if d < max_dist then begin
+      idxs.(!kept) <- i;
+      dists.(!kept) <- d;
+      incr kept
+    end
+  done;
+  { idxs; dists; len = !kept; sorted_upto = 0 }
 
 (* (dist, idx) strict order on positions of the parallel arrays. *)
-let pos_less t i j =
+let[@inline] pos_less t i j =
   t.dists.(i) < t.dists.(j)
   || (t.dists.(i) = t.dists.(j) && t.idxs.(i) < t.idxs.(j))
 
@@ -125,29 +85,6 @@ let sort_range t lo hi =
     Array.blit x 0 t.idxs lo m
   end
 
-(* Enter bulk mode: recompute every in-range distance. The prefix already
-   served from the cursor is discarded and reproduced by sorting — the
-   order is deterministic, so ranks keep their values. *)
-let enter_bulk t =
-  let n = Kd_tree.size t.tree in
-  let idxs = Array.make (Stdlib.max 1 n) 0
-  and dists = Array.make (Stdlib.max 1 n) 0. in
-  let kept = ref 0 in
-  for i = 0 to n - 1 do
-    let d = Point.dist t.query (Kd_tree.point t.tree i) in
-    if d < t.max_dist then begin
-      idxs.(!kept) <- i;
-      dists.(!kept) <- d;
-      incr kept
-    end
-  done;
-  t.idxs <- idxs;
-  t.dists <- dists;
-  t.len <- !kept;
-  t.sorted_upto <- 0;
-  t.bulk <- true;
-  t.cursor <- None
-
 (* Extend the sorted prefix to cover rank [j] (1-based): quickselect the
    next geometric chunk, then sort just that chunk. *)
 let extend_sorted t j =
@@ -160,39 +97,7 @@ let extend_sorted t j =
     t.sorted_upto <- target
   end
 
-(* Switch to bulk mode either when the caller drains deep, or when the
-   cursor's own effort exceeds what a full linear scan would have cost —
-   in high dimension best-first search degenerates even for the first
-   few ranks. *)
-let should_switch t cursor j =
-  j > t.switch_threshold
-  || Kd_tree.work cursor > 2 * Kd_tree.size t.tree
-
-let rec fill_to t j =
-  if t.bulk then begin
-    if t.len < 0 then enter_bulk t;
-    extend_sorted t j
-  end
-  else if t.len >= j || t.exhausted then ()
-  else
-    match t.cursor with
-    | None -> ()
-    | Some cursor ->
-        if should_switch t cursor j then begin
-          enter_bulk t;
-          extend_sorted t j
-        end
-        else (
-          match Kd_tree.next cursor with
-          | None -> t.exhausted <- true
-          | Some (idx, dist) ->
-              append t idx dist;
-              fill_to t j)
-
 let get t j =
   assert (j >= 1);
-  fill_to t j;
-  let available = if t.bulk then t.sorted_upto else t.len in
-  if j <= available then Some (t.idxs.(j - 1), t.dists.(j - 1)) else None
-
-let known t = if t.bulk then t.sorted_upto else t.len
+  extend_sorted t j;
+  if j <= t.sorted_upto then Some (t.idxs.(j - 1), t.dists.(j - 1)) else None

@@ -1,37 +1,22 @@
 (** Cached random-access view of a nearest-neighbour enumeration.
 
     Greedy-GEACC and Prune-GEACC repeatedly ask for "the j-th nearest
-    neighbour of node x" with j advancing independently per node. A stream
-    serves rank [j] in O(1) once materialised, pulling new ranks from a
-    {!Kd_tree.cursor}.
-
-    Incremental best-first search is ideal for shallow ranks but degrades
-    in high dimension (the frontier stops pruning anything). A stream
-    therefore switches to a {e bulk} regime — every in-range distance
-    computed once, ranks served from a prefix sorted incrementally by
-    quickselect — whenever any of three signals fires: the dimension is
-    >= 10 (best-first search is hopeless there, cf. the VA-File argument),
-    the cursor's frontier work exceeds twice a linear scan, or the caller
-    drains past [switch_threshold] ranks. Both regimes produce the
-    identical (distance, index) order, so the switch is invisible: a
-    stream drained to depth m costs O(n + m log m) instead of O(n) heap
-    work per rank. *)
+    neighbour of node x" with j advancing independently per node. The paper
+    treats the index answering these queries as a black box with per-query
+    cost σ(S); this is the one implementation. A stream computes every
+    in-range distance once (a linear scan — at the paper's d = 20 no tree
+    index prunes anything) and then serves ranks from a prefix sorted
+    incrementally by quickselect: a stream drained to depth m costs
+    O(n + m log m). *)
 
 type t
 
-val create : Kd_tree.t -> Point.t -> ?max_dist:float -> ?switch_threshold:int ->
-  unit -> t
-(** Stream of neighbours of the query in ascending (distance, index) order,
-    cut off at [max_dist] (exclusive) when given. [switch_threshold]
-    (default 64) is the materialised-rank count beyond which the stream
-    enters the bulk regime ([0] forces it on first access); note the
-    dimension and frontier-work signals can trigger the switch earlier
-    regardless of this threshold. *)
+val create : ?max_dist:float -> Point.t array -> Point.t -> t
+(** [create ?max_dist points query] is the stream of [points] (the array is
+    not copied) in ascending (distance to [query], index) order, cut off at
+    [max_dist] (exclusive; default [infinity]). Computes all distances. *)
 
 val get : t -> int -> (int * float) option
 (** [get t j] is the [j]-th nearest neighbour (1-based) as
     [(point index, distance)], or [None] if fewer than [j] neighbours exist
-    within the cutoff. *)
-
-val known : t -> int
-(** Number of neighbours materialised so far. *)
+    within the cutoff. Ranks may be read in any order. *)

@@ -90,13 +90,32 @@ let expect_header cur ~keyword =
   | k :: args when k = keyword -> (line, args)
   | _ -> fail ~line "expected %S section, got %S" keyword l
 
+(* Every precondition of the [Similarity] constructors is checked here, so
+   a bad header is a [Parse_error], never their [Invalid_argument]. *)
 let parse_sim ~line args =
+  let positive what s =
+    let x = parse_float ~line s in
+    if Float.is_finite x && x > 0. then x
+    else fail ~line "%s %S must be finite and positive" what s
+  in
   match args with
   | [ "euclidean"; d; r ] ->
-      Similarity.euclidean ~dim:(parse_int ~line d) ~range:(parse_float ~line r)
-  | [ "gaussian"; s ] -> Similarity.gaussian ~sigma:(parse_float ~line s)
+      let dim = parse_int ~line d in
+      if dim <= 0 then fail ~line "euclidean dim %d must be positive" dim;
+      Similarity.euclidean ~dim ~range:(positive "range" r)
+  | [ "gaussian"; s ] -> Similarity.gaussian ~sigma:(positive "sigma" s)
   | [ "cosine" ] -> Similarity.cosine
   | _ -> fail ~line "unsupported similarity %S" (String.concat " " args)
+
+(* A section count: non-negative and no larger than the significant lines
+   left, checked before anything is allocated for the section. *)
+let parse_count ~line cur s =
+  let n = parse_int ~line s in
+  if n < 0 then fail ~line "count %d is negative" n;
+  if List.compare_length_with cur.rest n < 0 then
+    fail ~line "count %d exceeds the %d lines that remain" n
+      (List.length cur.rest);
+  n
 
 let parse_attr ~line s =
   let x = parse_float ~line s in
@@ -107,11 +126,18 @@ let parse_capacity ~line s =
   let c = parse_int ~line s in
   if c >= 0 then c else fail ~line "capacity %d is negative" c
 
-let parse_entities cur ~count =
+(* [dim] is the attribute count the similarity declares, if it declares
+   one. *)
+let parse_entities cur ~count ~dim =
   Array.init count (fun id ->
       let line, l = next_line cur in
       match tokens l with
       | capacity :: attrs when attrs <> [] ->
+          (match dim with
+          | Some d when List.compare_length_with attrs d <> 0 ->
+              fail ~line "%d attributes, but the similarity declares dim %d"
+                (List.length attrs) d
+          | _ -> ());
           Entity.make ~id
             ~attrs:(Array.of_list (List.map (parse_attr ~line) attrs))
             ~capacity:(parse_capacity ~line capacity)
@@ -129,10 +155,15 @@ let load_instance text =
     | "sim" :: args -> parse_sim ~line args
     | _ -> fail ~line "expected `sim ...`, got %S" l
   in
+  let dim =
+    match Similarity.spec sim with
+    | Similarity.Spec_euclidean { dim; _ } -> Some dim
+    | _ -> None
+  in
   let parse_side keyword =
     let line, args = expect_header cur ~keyword in
     match args with
-    | [ n ] -> parse_entities cur ~count:(parse_int ~line n)
+    | [ n ] -> parse_entities cur ~count:(parse_count ~line cur n) ~dim
     | _ -> fail ~line "expected `%s <count>`" keyword
   in
   let events = parse_side "events" in
@@ -140,7 +171,7 @@ let load_instance text =
   let line, args = expect_header cur ~keyword:"conflicts" in
   let n_conflicts =
     match args with
-    | [ n ] -> parse_int ~line n
+    | [ n ] -> parse_count ~line cur n
     | _ -> fail ~line "expected `conflicts <count>`"
   in
   let n_events = Array.length events in
@@ -226,7 +257,7 @@ let load_pairs text =
   let line, args = expect_header cur ~keyword:"pairs" in
   let count =
     match args with
-    | [ n ] -> parse_int ~line n
+    | [ n ] -> parse_count ~line cur n
     | _ -> fail ~line "expected `pairs <count>`"
   in
   let pairs =

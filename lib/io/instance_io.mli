@@ -26,9 +26,13 @@
     Custom similarities are not serialisable: saving such an instance
     raises.
 
-    Loading is strict: beyond shape errors, it rejects non-finite attribute
-    values, negative capacities, conflict ids out of range, self-conflicts
-    and duplicate conflict pairs, each with the precise 1-based line number
+    Loading is strict and total: beyond shape errors, it rejects a
+    non-positive euclidean dim, a range or sigma that is not finite and
+    positive, attribute rows whose length differs from the euclidean dim,
+    section counts that are negative or exceed the lines that remain
+    (checked before allocating), non-finite attribute values, negative
+    capacities, conflict ids out of range, self-conflicts and duplicate
+    conflict pairs, each with the precise 1-based line number
     and offending value — a malformed file must never become a silently
     garbage instance. The [_result] variants report the same failures (and
     unreadable files) as structured [Geacc_robust.Error.t] values for
@@ -51,7 +55,9 @@ val parse_sim :
   line:int -> string list -> Geacc_core.Similarity.t
 (** Parses the argument tokens of a [sim ...] header ([["euclidean"; d; r]],
     [["gaussian"; s]] or [["cosine"]]), the inverse of {!sim_header}.
-    @raise Parse_error (with the given line) on anything else. *)
+    @raise Parse_error (with the given line) on anything else, including a
+    dim that is not positive and a range or sigma that is not finite and
+    positive — never [Invalid_argument]. *)
 
 val save_instance : Geacc_core.Instance.t -> string
 val write_instance : path:string -> Geacc_core.Instance.t -> unit

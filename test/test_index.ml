@@ -1,35 +1,29 @@
-(* NN indexes: kd-tree vs linear-scan oracle, incremental cursor ordering,
-   distance cutoffs, stream memoisation. *)
+(* The neighbour stream against the sort-everything oracle: rank order,
+   exclusive cutoffs, random-order reads, edge inputs, and end-to-end
+   agreement between the indexed and the scanned neighbour sources. *)
 
 module Point = Geacc_index.Point
-module Linear = Geacc_index.Linear_index
-module Kd = Geacc_index.Kd_tree
 module Stream = Geacc_index.Nn_stream
+module Linear = Linear_index
 module Rng = Geacc_util.Rng
+open Geacc_core
+module Synthetic = Geacc_datagen.Synthetic
 
 let random_points rng ~n ~d ~range =
   Array.init n (fun _ -> Array.init d (fun _ -> Rng.float rng range))
+
+let drain s =
+  let rec go rank acc =
+    match Stream.get s rank with
+    | None -> List.rev acc
+    | Some x -> go (rank + 1) (x :: acc)
+  in
+  go 1 []
 
 let test_point_dist () =
   Alcotest.(check (float 1e-9)) "dist2" 25. (Point.dist2 [| 0.; 3. |] [| 4.; 0. |]);
   Alcotest.(check (float 1e-9)) "dist" 5. (Point.dist [| 0.; 3. |] [| 4.; 0. |]);
   Alcotest.(check (float 1e-9)) "zero" 0. (Point.dist [| 1.; 2. |] [| 1.; 2. |])
-
-let test_point_box () =
-  let lo = [| 0.; 0. |] and hi = [| 2.; 2. |] in
-  Alcotest.(check (float 1e-9)) "inside" 0.
-    (Point.min_dist2_to_box [| 1.; 1. |] ~lo ~hi);
-  Alcotest.(check (float 1e-9)) "outside corner" 2.
-    (Point.min_dist2_to_box [| 3.; 3. |] ~lo ~hi);
-  Alcotest.(check (float 1e-9)) "outside edge" 4.
-    (Point.min_dist2_to_box [| 1.; 4. |] ~lo ~hi)
-
-let test_bounding_box () =
-  let points = [| [| 1.; 5. |]; [| 3.; 2. |]; [| 2.; 7. |] |] in
-  let lo = Array.make 2 0. and hi = Array.make 2 0. in
-  Point.bounding_box points [| 0; 1; 2 |] ~lo ~hi;
-  Alcotest.(check (array (float 0.))) "lo" [| 1.; 2. |] lo;
-  Alcotest.(check (array (float 0.))) "hi" [| 3.; 7. |] hi
 
 let test_linear_ordering () =
   let points = [| [| 0. |]; [| 10. |]; [| 3. |]; [| 7. |] |] in
@@ -63,90 +57,55 @@ let test_linear_within () =
   Alcotest.(check (list int)) "strictly inside cutoff" [ 0; 1 ]
     (Array.to_list (Array.map fst r))
 
-let check_kd_matches_linear ~n ~d ~seed =
+let check_stream_matches_linear ~n ~d ~seed =
   let rng = Rng.create ~seed in
   let points = random_points rng ~n ~d ~range:100. in
-  let linear = Linear.create points and tree = Kd.build ~leaf_size:4 points in
+  let linear = Linear.create points in
   for _ = 1 to 20 do
     let q = Array.init d (fun _ -> Rng.float rng 100.) in
     let k = 1 + Rng.int rng n in
     let expected = Linear.nearest linear q ~k in
-    let actual = Kd.nearest tree q ~k in
-    Alcotest.(check (list int))
-      (Printf.sprintf "k=%d identical neighbour ids" k)
-      (Array.to_list (Array.map fst expected))
-      (Array.to_list (Array.map fst actual));
-    Array.iteri
-      (fun i (_, dist) ->
-        Alcotest.(check (float 1e-9)) "identical distances" (snd expected.(i))
-          dist)
-      actual
+    let s = Stream.create points q in
+    let actual = List.init k (fun r -> Option.get (Stream.get s (r + 1))) in
+    Alcotest.(check (list (pair int (float 0.))))
+      (Printf.sprintf "k=%d identical ids and distances" k)
+      (Array.to_list expected) actual
   done
 
-let test_kd_matches_linear_2d () = check_kd_matches_linear ~n:200 ~d:2 ~seed:1
-let test_kd_matches_linear_high_d () = check_kd_matches_linear ~n:150 ~d:20 ~seed:2
-let test_kd_matches_linear_1d () = check_kd_matches_linear ~n:50 ~d:1 ~seed:3
+let test_stream_matches_linear_2d () = check_stream_matches_linear ~n:200 ~d:2 ~seed:1
+let test_stream_matches_linear_high_d () = check_stream_matches_linear ~n:150 ~d:20 ~seed:2
+let test_stream_matches_linear_1d () = check_stream_matches_linear ~n:50 ~d:1 ~seed:3
 
-let test_kd_empty_and_tiny () =
-  let tree = Kd.build [||] in
-  Alcotest.(check int) "empty size" 0 (Kd.size tree);
-  Alcotest.(check int) "no neighbours" 0 (Array.length (Kd.nearest tree [| 0. |] ~k:3));
-  let one = Kd.build [| [| 5. |] |] in
-  let r = Kd.nearest one [| 0. |] ~k:5 in
-  Alcotest.(check int) "single point" 1 (Array.length r);
-  Alcotest.(check int) "its id" 0 (fst r.(0))
+let test_stream_empty_and_tiny () =
+  let empty = Stream.create [||] [| 0. |] in
+  Alcotest.(check bool) "no neighbours" true (Stream.get empty 1 = None);
+  let one = Stream.create [| [| 5. |] |] [| 0. |] in
+  Alcotest.(check (list (pair int (float 0.)))) "single point" [ (0, 5.) ]
+    (drain one)
 
-let test_kd_duplicate_points () =
+let test_stream_duplicate_points () =
   let points = Array.make 10 [| 3.; 3. |] in
-  let tree = Kd.build ~leaf_size:2 points in
-  let r = Kd.nearest tree [| 3.; 3. |] ~k:10 in
+  let s = Stream.create points [| 3.; 3. |] in
   Alcotest.(check (list int)) "all duplicates, id order"
     (List.init 10 Fun.id)
-    (Array.to_list (Array.map fst r))
+    (List.map fst (drain s))
 
-let test_cursor_streams_in_order () =
-  let rng = Rng.create ~seed:4 in
-  let points = random_points rng ~n:300 ~d:3 ~range:10. in
-  let tree = Kd.build points in
-  let c = Kd.cursor tree [| 5.; 5.; 5. |] () in
-  let last = ref neg_infinity in
-  let count = ref 0 in
-  let rec drain () =
-    match Kd.next c with
-    | None -> ()
-    | Some (_, d) ->
-        Alcotest.(check bool) "ascending" true (d >= !last);
-        last := d;
-        incr count;
-        drain ()
-  in
-  drain ();
-  Alcotest.(check int) "every point enumerated once" 300 !count;
-  Alcotest.(check int) "returned counter" 300 (Kd.returned c)
-
-let test_cursor_max_dist () =
-  let points = [| [| 0. |]; [| 1. |]; [| 2. |]; [| 5. |] |] in
-  let tree = Kd.build points in
-  let c = Kd.cursor tree [| 0. |] ~max_dist:2. () in
-  let ids = ref [] in
-  let rec drain () =
-    match Kd.next c with
-    | None -> ()
-    | Some (i, _) ->
-        ids := i :: !ids;
-        drain ()
-  in
-  drain ();
-  (* Distance 2 is excluded: the cutoff is exclusive. *)
-  Alcotest.(check (list int)) "strictly within" [ 0; 1 ] (List.rev !ids)
+let test_stream_query_on_point () =
+  (* A query sitting exactly on an indexed point: rank 1 is that point at
+     distance 0. *)
+  let rng = Rng.create ~seed:10 in
+  let points = random_points rng ~n:50 ~d:3 ~range:10. in
+  let s = Stream.create points (Array.copy points.(17)) in
+  match Stream.get s 1 with
+  | Some (17, d) -> Alcotest.(check (float 0.)) "distance zero" 0. d
+  | _ -> Alcotest.fail "expected point 17 first"
 
 let test_stream_random_access () =
   let rng = Rng.create ~seed:5 in
   let points = random_points rng ~n:100 ~d:2 ~range:10. in
-  let tree = Kd.build points in
   let linear = Linear.create points in
   let q = [| 3.; 3. |] in
-  let s = Stream.create tree q () in
+  let s = Stream.create points q in
   (* Jump around ranks; results must match the oracle at every rank. *)
   List.iter
     (fun rank ->
@@ -157,18 +116,14 @@ let test_stream_random_access () =
       | None, None -> ()
       | _ -> Alcotest.fail "stream and oracle disagree on existence")
     [ 5; 1; 50; 3; 100; 99; 2 ];
-  Alcotest.(check bool) "rank beyond size" true (Stream.get s 101 = None);
-  Alcotest.(check int) "known counts materialised prefix" 100 (Stream.known s)
+  Alcotest.(check bool) "rank beyond size" true (Stream.get s 101 = None)
 
 let test_stream_bulk_high_dimension () =
-  (* d >= 10 streams start in bulk mode (the kd cursor is bypassed); the
-     served order must still match the oracle exactly. *)
   let rng = Rng.create ~seed:7 in
   let points = random_points rng ~n:300 ~d:20 ~range:100. in
-  let tree = Kd.build points in
   let linear = Linear.create points in
   let q = Array.init 20 (fun _ -> Rng.float rng 100.) in
-  let s = Stream.create tree q () in
+  let s = Stream.create points q in
   List.iter
     (fun rank ->
       match (Stream.get s rank, Linear.nth_nearest linear q rank) with
@@ -180,123 +135,137 @@ let test_stream_bulk_high_dimension () =
     [ 1; 7; 2; 300; 150; 299; 1 ];
   Alcotest.(check bool) "beyond size" true (Stream.get s 301 = None)
 
-let test_stream_switch_threshold_zero () =
-  (* Forcing bulk on first access must not change any answer. *)
-  let rng = Rng.create ~seed:8 in
-  let points = random_points rng ~n:120 ~d:3 ~range:10. in
-  let tree = Kd.build points in
-  let q = [| 1.; 2.; 3. |] in
-  let lazy_s = Stream.create tree q () in
-  let eager_s = Stream.create tree q ~switch_threshold:0 () in
-  for rank = 1 to 120 do
-    Alcotest.(check bool)
-      (Printf.sprintf "rank %d agrees across regimes" rank)
-      true
-      (Stream.get lazy_s rank = Stream.get eager_s rank)
-  done
-
-let test_stream_sequential_advance_crosses_switch () =
-  (* Rank-by-rank advance across the switch threshold (the Greedy access
-     pattern) stays consistent with the oracle. *)
-  let rng = Rng.create ~seed:9 in
-  let points = random_points rng ~n:200 ~d:4 ~range:10. in
-  let tree = Kd.build points in
-  let linear = Linear.create points in
-  let q = Array.init 4 (fun _ -> Rng.float rng 10.) in
-  let s = Stream.create tree q ~switch_threshold:16 () in
-  for rank = 1 to 200 do
-    match (Stream.get s rank, Linear.nth_nearest linear q rank) with
-    | Some (i, _), Some (i', _) ->
-        Alcotest.(check int) (Printf.sprintf "rank %d" rank) i' i
-    | None, None -> ()
-    | _ -> Alcotest.fail "existence disagreement"
-  done
-
 let test_stream_cutoff_in_bulk_mode () =
   let points = Array.init 50 (fun i -> Array.make 20 (float_of_int i)) in
-  let tree = Kd.build points in
   (* Query at the origin; cutoff excludes points with coordinate >= 5 —
      distance of point i is i * sqrt 20. *)
-  let s = Stream.create tree (Array.make 20 0.) ~max_dist:(5. *. sqrt 20.) () in
+  let s =
+    Stream.create ~max_dist:(5. *. sqrt 20.) points (Array.make 20 0.)
+  in
   Alcotest.(check bool) "rank 5 exists" true (Stream.get s 5 <> None);
   Alcotest.(check bool) "rank 6 beyond cutoff" true (Stream.get s 6 = None)
 
 let test_stream_cutoff () =
   let points = [| [| 0. |]; [| 3. |]; [| 9. |] |] in
-  let tree = Kd.build points in
-  let s = Stream.create tree [| 0. |] ~max_dist:5. () in
+  let s = Stream.create ~max_dist:5. points [| 0. |] in
   Alcotest.(check bool) "rank 1" true (Stream.get s 1 <> None);
   Alcotest.(check bool) "rank 2" true (Stream.get s 2 <> None);
   Alcotest.(check bool) "rank 3 beyond cutoff" true (Stream.get s 3 = None)
 
-(* QCheck property: streams agree with the oracle for any (n, d, threshold),
-   covering the cursor regime, the bulk regime and the switch between. *)
+(* QCheck property: for any (n, d) the stream serves the oracle's
+   (index, distance) sequence bit for bit, read in a random rank order,
+   under one of three cutoff regimes: none, a random radius, or exactly
+   the distance of one point (which the exclusive cutoff must drop).
+   Duplicate points and a query placed on a point exercise the index
+   tie-break. *)
 let prop_stream_matches_oracle =
-  QCheck.Test.make ~name:"nn stream = linear oracle across regimes" ~count:60
-    QCheck.(triple (int_range 1 80) (int_range 1 24) (int_range 0 30))
-    (fun (n, d, threshold) ->
-      let rng = Rng.create ~seed:(n + (37 * d) + (1009 * threshold)) in
+  QCheck.Test.make ~name:"nn stream = linear oracle across regimes"
+    ~count:200
+    QCheck.(triple (int_range 0 80) (int_range 1 20) (int_bound 9999))
+    (fun (n, d, seed) ->
+      let rng = Rng.create ~seed:(seed + (10_000 * d) + (1_000_000 * n)) in
       let points = random_points rng ~n ~d ~range:50. in
-      let tree = Kd.build ~leaf_size:3 points in
-      let linear = Linear.create points in
-      let q = Array.init d (fun _ -> Rng.float rng 50.) in
-      let s = Stream.create tree q ~switch_threshold:threshold () in
-      let ok = ref true in
-      for rank = 1 to n + 1 do
-        let expected = Linear.nth_nearest linear q rank in
-        let actual = Stream.get s rank in
-        (match (expected, actual) with
-        | Some (i, _), Some (i', _) when i = i' -> ()
-        | None, None -> ()
-        | _ -> ok := false)
-      done;
-      !ok)
-
-(* QCheck property: kd-tree enumeration = sorted linear distances. *)
-let prop_kd_full_enumeration =
-  QCheck.Test.make ~name:"kd cursor enumerates exactly the sorted scan"
-    ~count:50
-    QCheck.(pair (int_range 1 60) (int_range 1 5))
-    (fun (n, d) ->
-      let rng = Rng.create ~seed:(n + (100 * d)) in
-      let points = random_points rng ~n ~d ~range:50. in
-      let tree = Kd.build ~leaf_size:3 points in
-      let linear = Linear.create points in
-      let q = Array.init d (fun _ -> Rng.float rng 50.) in
-      let expected = Array.map fst (Linear.nearest linear q ~k:n) in
-      let c = Kd.cursor tree q () in
-      let actual = Array.init n (fun _ ->
-          match Kd.next c with Some (i, _) -> i | None -> -1)
+      if n > 1 then
+        for _ = 1 to Rng.int rng 4 do
+          points.(Rng.int rng n) <- Array.copy points.(Rng.int rng n)
+        done;
+      let q =
+        if n > 0 && Rng.bool rng then Array.copy points.(Rng.int rng n)
+        else Array.init d (fun _ -> Rng.float rng 50.)
       in
-      expected = actual)
+      let at_cutoff = if n > 0 then Some (Rng.int rng n) else None in
+      let max_dist =
+        match (Rng.int rng 3, at_cutoff) with
+        | 0, Some k -> Point.dist q points.(k)
+        | 1, _ -> Rng.float rng 120.
+        | _ -> infinity
+      in
+      let expected =
+        Linear.nearest_within (Linear.create points) q ~k:n ~max_dist
+      in
+      let m = Array.length expected in
+      let s = Stream.create ~max_dist points q in
+      let ranks = Array.init (n + 1) (fun r -> r + 1) in
+      Rng.shuffle_in_place rng ranks;
+      let bits = Int64.bits_of_float in
+      Array.for_all
+        (fun r ->
+          match Stream.get s r with
+          | Some (i, dist) ->
+              r <= m
+              && i = fst expected.(r - 1)
+              && Int64.equal (bits dist) (bits (snd expected.(r - 1)))
+              && dist < max_dist
+          | None -> r > m)
+        ranks
+      && Stream.get s (n + 1) = None)
+
+(* The index is an implementation detail of the neighbour source: the
+   same Equation-1 instance served by distance streams (a similarity with a
+   distance profile) and by per-node sorted scans (the same [eval] wrapped
+   with no profile) must give every solver the same arrangement. *)
+let test_indexed_equals_scanned () =
+  let cfg =
+    {
+      Synthetic.default with
+      Synthetic.n_events = 8;
+      n_users = 30;
+      dim = 6;
+      event_capacity = Synthetic.Cap_uniform 4;
+      user_capacity = Synthetic.Cap_uniform 2;
+    }
+  in
+  let scanned indexed =
+    let eq1 = Instance.similarity indexed in
+    let sim = Similarity.custom ~name:"scanned" (Similarity.eval eq1) in
+    Alcotest.(check bool) "no distance profile" true
+      (Option.is_none (Similarity.dist_profile sim));
+    Instance.create ~sim ~events:(Instance.events indexed)
+      ~users:(Instance.users indexed) ~conflicts:(Instance.conflicts indexed) ()
+  in
+  let online t =
+    match Online.solve t with
+    | Ok m -> m
+    | Error e -> Alcotest.fail (Geacc_robust.Error.to_string e)
+  in
+  List.iter
+    (fun seed ->
+      List.iter
+        (fun (name, solve) ->
+          let indexed = Synthetic.generate ~seed cfg in
+          Alcotest.(check (list (pair int int)))
+            (Printf.sprintf "%s (seed %d)" name seed)
+            (Matching.pairs (solve indexed))
+            (Matching.pairs (solve (scanned indexed))))
+        [
+          ("greedy", Greedy.solve);
+          ("prune", fun t -> Exact.solve_prune t);
+          ("online", online);
+        ])
+    [ 1; 2; 3 ]
 
 let suite =
   [
     Alcotest.test_case "point distances" `Quick test_point_dist;
-    Alcotest.test_case "point-box distance" `Quick test_point_box;
-    Alcotest.test_case "bounding box" `Quick test_bounding_box;
     Alcotest.test_case "linear ordering" `Quick test_linear_ordering;
     Alcotest.test_case "linear ties by index" `Quick test_linear_ties_by_index;
     Alcotest.test_case "linear nth_nearest" `Quick test_linear_nth;
     Alcotest.test_case "linear nearest_within" `Quick test_linear_within;
-    Alcotest.test_case "kd = linear (2d)" `Quick test_kd_matches_linear_2d;
-    Alcotest.test_case "kd = linear (d=20)" `Quick test_kd_matches_linear_high_d;
-    Alcotest.test_case "kd = linear (1d)" `Quick test_kd_matches_linear_1d;
-    Alcotest.test_case "kd empty/tiny" `Quick test_kd_empty_and_tiny;
-    Alcotest.test_case "kd duplicate points" `Quick test_kd_duplicate_points;
-    Alcotest.test_case "cursor ascending order" `Quick
-      test_cursor_streams_in_order;
-    Alcotest.test_case "cursor max_dist exclusive" `Quick test_cursor_max_dist;
+    Alcotest.test_case "stream = linear (2d)" `Quick test_stream_matches_linear_2d;
+    Alcotest.test_case "stream = linear (d=20)" `Quick
+      test_stream_matches_linear_high_d;
+    Alcotest.test_case "stream = linear (1d)" `Quick test_stream_matches_linear_1d;
+    Alcotest.test_case "stream empty/tiny" `Quick test_stream_empty_and_tiny;
+    Alcotest.test_case "stream duplicate points" `Quick
+      test_stream_duplicate_points;
+    Alcotest.test_case "stream query on a point" `Quick
+      test_stream_query_on_point;
     Alcotest.test_case "stream random access" `Quick test_stream_random_access;
     Alcotest.test_case "stream cutoff" `Quick test_stream_cutoff;
     Alcotest.test_case "stream bulk (high-d)" `Quick
       test_stream_bulk_high_dimension;
-    Alcotest.test_case "stream threshold zero" `Quick
-      test_stream_switch_threshold_zero;
-    Alcotest.test_case "stream sequential across switch" `Quick
-      test_stream_sequential_advance_crosses_switch;
     Alcotest.test_case "stream cutoff in bulk mode" `Quick
       test_stream_cutoff_in_bulk_mode;
-    QCheck_alcotest.to_alcotest prop_kd_full_enumeration;
     QCheck_alcotest.to_alcotest prop_stream_matches_oracle;
+    Alcotest.test_case "indexed = scanned" `Quick test_indexed_equals_scanned;
   ]

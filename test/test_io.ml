@@ -182,6 +182,66 @@ let test_rejects_bad_conflicts () =
     (two_event_prefix ^ "2\n0 1\n1 0\n")
     ~line:10 ~needle:"duplicate conflict pair"
 
+(* Decoders of external bytes are total: every header or count that would
+   make a constructor raise, or would allocate beyond the input, is a
+   structured error carrying its line. *)
+let one_event_body = "events 1\n1 0.5\nusers 1\n1 0.5\nconflicts 0\n"
+
+let test_rejects_bad_sim_headers () =
+  List.iter
+    (fun (header, needle) ->
+      expect_instance_error_message
+        (Printf.sprintf "geacc-instance 1\n%s\n%s" header one_event_body)
+        ~line:2 ~needle)
+    [
+      ("sim euclidean 0 1", "dim 0 must be positive");
+      ("sim euclidean -3 1", "dim -3 must be positive");
+      ("sim euclidean 1 0", "range \"0\" must be finite and positive");
+      ("sim euclidean 1 -2", "range \"-2\" must be finite and positive");
+      ("sim euclidean 2 nan", "range \"nan\" must be finite and positive");
+      ("sim euclidean 1 inf", "range \"inf\" must be finite and positive");
+      ("sim gaussian 0", "sigma \"0\" must be finite and positive");
+      ("sim gaussian nan", "sigma \"nan\" must be finite and positive");
+      ("sim gaussian -inf", "sigma \"-inf\" must be finite and positive");
+    ]
+
+let test_rejects_bad_counts () =
+  let header = "geacc-instance 1\nsim euclidean 1 1\n" in
+  expect_instance_error_message (header ^ "events -1\n") ~line:3
+    ~needle:"count -1 is negative";
+  expect_instance_error_message
+    (header ^ "events 1\n1 0.5\nusers -4\nconflicts 0\n")
+    ~line:5 ~needle:"count -4 is negative";
+  expect_instance_error_message
+    (header ^ "events 1\n1 0.5\nusers 1\n1 0.5\nconflicts -1\n")
+    ~line:7 ~needle:"count -1 is negative";
+  expect_instance_error_message (header ^ "events 1000000000000\n1 0.5\n")
+    ~line:3 ~needle:"count 1000000000000 exceeds the 1 lines that remain";
+  expect_instance_error_message
+    (header ^ "events 1\n1 0.5\nusers 1\n1 0.5\nconflicts 3\n")
+    ~line:7 ~needle:"count 3 exceeds the 0 lines that remain";
+  let pairs_error text ~line ~needle =
+    match Io.load_pairs text with
+    | _ -> Alcotest.failf "accepted matching with %s" needle
+    | exception Io.Parse_error { line = l; message } ->
+        Alcotest.(check int) (needle ^ ": line") line l;
+        Alcotest.(check string) "message" needle message
+  in
+  pairs_error "geacc-matching 1\npairs -1\n" ~line:2
+    ~needle:"count -1 is negative";
+  pairs_error "geacc-matching 1\npairs 4611686018427387903\n0 0\n" ~line:2
+    ~needle:"count 4611686018427387903 exceeds the 1 lines that remain"
+
+let test_rejects_dim_mismatch () =
+  expect_instance_error_message
+    "geacc-instance 1\nsim euclidean 7 1\nevents 1\n1 0.5 0.5\nusers 1\n1 \
+     0.5 0.5\nconflicts 0\n"
+    ~line:4 ~needle:"2 attributes, but the similarity declares dim 7";
+  expect_instance_error_message
+    "geacc-instance 1\nsim euclidean 2 1\nevents 1\n1 0.5 0.5\nusers 1\n1 \
+     0.5\nconflicts 0\n"
+    ~line:6 ~needle:"1 attributes, but the similarity declares dim 2"
+
 let test_result_api () =
   (match Io.load_instance_result "geacc-instance 1\nsim nonsense\n" with
   | Error (Geacc_robust.Error.Parse_error { line; _ }) ->
@@ -223,5 +283,10 @@ let suite =
       test_rejects_negative_capacity;
     Alcotest.test_case "rejects bad conflict pairs" `Quick
       test_rejects_bad_conflicts;
+    Alcotest.test_case "rejects bad sim headers" `Quick
+      test_rejects_bad_sim_headers;
+    Alcotest.test_case "rejects bad counts" `Quick test_rejects_bad_counts;
+    Alcotest.test_case "rejects euclidean dim mismatch" `Quick
+      test_rejects_dim_mismatch;
     Alcotest.test_case "result api" `Quick test_result_api;
   ]

@@ -9,7 +9,6 @@ let () =
       ("flow", Test_flow.suite);
       ("csr", Test_csr.suite);
       ("index", Test_index.suite);
-      ("backends", Test_backends.suite);
       ("core-model", Test_core_model.suite);
       ("algorithms", Test_algorithms.suite);
       ("audit", Test_audit.suite);

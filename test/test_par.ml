@@ -3,9 +3,8 @@
    - pool unit tests: chunk coverage, empty ranges, exception choice
      (lowest failing chunk wins), nested-region resolution, reuse after
      completion, failure and shutdown;
-   - end-to-end determinism: the MCF network (arc ids, costs), the kd-tree
-     (structure, traversal effort, query answers) and the full solvers must
-     be byte-identical for jobs ∈ {1, 2, 4}.
+   - end-to-end determinism: the MCF network (arc ids, costs) and the full
+     solvers must be byte-identical for jobs ∈ {1, 2, 4}.
 
    Float equality is checked on the IEEE bit pattern — "byte-identical"
    means exactly that, not approximate agreement. *)
@@ -13,7 +12,6 @@
 open Geacc_core
 module Pool = Geacc_par.Pool
 module Graph = Geacc_flow.Graph
-module Kd_tree = Geacc_index.Kd_tree
 module Synthetic = Geacc_datagen.Synthetic
 module Rng = Geacc_util.Rng
 
@@ -208,39 +206,6 @@ let test_mcf_network_identical () =
         n1.Mincostflow.pair_arcs n.Mincostflow.pair_arcs)
     jobs_under_test
 
-(* ---------- kd-tree determinism ---------- *)
-
-let test_kd_tree_identical () =
-  let rng = Rng.create ~seed:11 in
-  (* Large enough that the parallel path actually forks (> 2 x 512). *)
-  let points =
-    Array.init 5_000 (fun _ -> Array.init 4 (fun _ -> Rng.float rng 100.))
-  in
-  let query = Array.init 4 (fun k -> 25. *. float_of_int k) in
-  let full_traversal_work t =
-    let c = Kd_tree.cursor t query ~max_dist:30. () in
-    let rec go () = match Kd_tree.next c with Some _ -> go () | None -> () in
-    go ();
-    Kd_tree.work c
-  in
-  let reference = Kd_tree.build ~jobs:1 points in
-  let ref_dump = Kd_tree.dump reference in
-  let ref_nn = Kd_tree.nearest reference query ~k:25 in
-  let ref_work = full_traversal_work reference in
-  List.iter
-    (fun jobs ->
-      let t = Kd_tree.build ~jobs points in
-      Alcotest.(check string)
-        (Printf.sprintf "structural dump, jobs=%d" jobs)
-        ref_dump (Kd_tree.dump t);
-      Alcotest.(check (array (pair int (float 0.))))
-        (Printf.sprintf "25-NN answers, jobs=%d" jobs)
-        ref_nn (Kd_tree.nearest t query ~k:25);
-      Alcotest.(check int)
-        (Printf.sprintf "traversal work, jobs=%d" jobs)
-        ref_work (full_traversal_work t))
-    jobs_under_test
-
 (* ---------- full-solver determinism ---------- *)
 
 let test_solvers_identical_across_jobs () =
@@ -307,8 +272,6 @@ let suite =
       test_shared_capture_diverges;
     Alcotest.test_case "MCF network identical across jobs" `Quick
       test_mcf_network_identical;
-    Alcotest.test_case "kd-tree identical across jobs" `Quick
-      test_kd_tree_identical;
     Alcotest.test_case "solver arrangements identical across jobs" `Quick
       test_solvers_identical_across_jobs;
   ]

@@ -249,6 +249,57 @@ let test_snapshot_corruption_rejected () =
       | Error e -> Alcotest.failf "wrong error: %s" (Error.to_string e)
       | Ok _ -> Alcotest.fail "corrupt snapshot accepted")
 
+(* The sim headers that would make a [Similarity] constructor raise (or
+   that it would accept with a meaningless dimension) are structured
+   errors in every decoder that carries the header. *)
+let bad_sim_headers =
+  [ "sim euclidean 0 1"; "sim gaussian 0"; "sim euclidean 2 nan" ]
+
+let test_trace_rejects_bad_sim () =
+  List.iter
+    (fun header ->
+      match Trace.parse (Printf.sprintf "geacc-trace 1\n%s\n" header) with
+      | Error (Error.Parse_error { line; _ }) ->
+          Alcotest.(check int) (header ^ ": line") 2 line
+      | Error e -> Alcotest.failf "%s: wrong error %s" header (Error.to_string e)
+      | Ok _ -> Alcotest.failf "%s accepted" header)
+    bad_sim_headers
+
+let test_state_load_rejects_bad_headers () =
+  let expect_parse_error what text =
+    match Serve_state.load text with
+    | Error (Error.Parse_error _) -> ()
+    | Error e -> Alcotest.failf "%s: wrong error %s" what (Error.to_string e)
+    | Ok _ -> Alcotest.failf "%s accepted" what
+  in
+  let snapshot ~sim ~instance =
+    let pairs = "geacc-matching 1\npairs 0\n" in
+    Printf.sprintf
+      "geacc-serve-state 2\nseq 0\ncursor 0\ndirty 0\n%s\ninstance %d\n%spairs \
+       %d\n%sdeparted 0\nclosed 0\n"
+      sim (String.length instance) instance (String.length pairs) pairs
+  in
+  List.iter
+    (fun header ->
+      expect_parse_error header (snapshot ~sim:header ~instance:""))
+    bad_sim_headers;
+  List.iter
+    (fun body ->
+      expect_parse_error body
+        (snapshot ~sim:"sim euclidean 1 1"
+           ~instance:("geacc-instance 1\nsim euclidean 1 1\n" ^ body)))
+    [
+      "events -1\n";
+      "events 99\n1 0.5\n";
+      "events 1\n1 0.5 0.5\nusers 0\nconflicts 0\n";
+    ];
+  expect_parse_error "negative pair count"
+    (Printf.sprintf
+       "geacc-serve-state 2\nseq 0\ncursor 0\ndirty 0\nsim cosine\ninstance \
+        0\npairs %d\n%sdeparted 0\nclosed 0\n"
+       (String.length "geacc-matching 1\npairs -1\n")
+       "geacc-matching 1\npairs -1\n")
+
 let test_state_rejects_bad_batches () =
   let trace = tiny_trace () in
   let state = Serve_state.create ~sim:trace.Trace.sim in
@@ -597,6 +648,10 @@ let suite =
     Alcotest.test_case "state: save/load round-trip" `Quick test_state_save_load;
     Alcotest.test_case "state: invalid batches rejected" `Quick
       test_state_rejects_bad_batches;
+    Alcotest.test_case "trace: bad sim headers rejected" `Quick
+      test_trace_rejects_bad_sim;
+    Alcotest.test_case "state: decoder rejects bad headers" `Quick
+      test_state_load_rejects_bad_headers;
     Alcotest.test_case "snapshot: round-trip" `Quick test_snapshot_roundtrip;
     Alcotest.test_case "snapshot: corruption rejected" `Quick
       test_snapshot_corruption_rejected;

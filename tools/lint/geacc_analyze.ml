@@ -12,7 +12,7 @@
                           and [parallel_for]/[parallel_map_chunked]/
                           [parallel_reduce] chunk bodies (which run once per
                           chunk) of the hot-path modules (lib/flow,
-                          lib/pqueue, lib/index/kd_tree, lib/par):
+                          lib/pqueue, lib/index, lib/par):
                           tuple/record/array/constructor
                           and polymorphic-variant blocks, closures, partial
                           applications, lazy blocks, ref cells, let-bound
@@ -37,7 +37,7 @@
 (* The hot-loop rule is scoped to the paper's inner-loop modules; the
    reachability rule is scoped to all library and binary code. *)
 let hot_markers =
-  [ "lib/flow/"; "lib/pqueue/"; "lib/index/kd_tree"; "lib/par/" ]
+  [ "lib/flow/"; "lib/pqueue/"; "lib/index/"; "lib/par/" ]
 let scope_markers = [ "lib/"; "bin/" ]
 let trusted_markers = [ "lib/check/" ]
 let suppression_tags = [ "alloc" ]
