@@ -433,24 +433,6 @@ let serve_cmd =
             "State directory holding the write-ahead journal and snapshots; \
              created if missing, recovered from if not empty.")
   in
-  let repair_arg =
-    Arg.(
-      value & opt string "incremental"
-      & info [ "repair" ] ~docv:"MODE"
-          ~doc:
-            "Arrangement maintenance: $(b,incremental) (replay the dirty \
-             suffix, bit-identical to full), $(b,full) (replay every user \
-             each batch) or $(b,offline) (re-solve with the anytime \
-             mincostflow -> greedy chain).")
-  in
-  let dirty_threshold =
-    Arg.(
-      value & opt float 0.5
-      & info [ "dirty-threshold" ] ~docv:"FRAC"
-          ~doc:
-            "Dirty-suffix fraction above which the incremental stage is \
-             skipped in favour of a direct full replay.")
-  in
   let batch_timeout =
     Arg.(
       value & opt float 0.
@@ -498,16 +480,9 @@ let serve_cmd =
             "Write the final state digest to FILE (crash-recovery CI \
              compares these across runs).")
   in
-  let run () trace_path state_dir repair_mode dirty_threshold batch_timeout
-      queue_cap snapshot_every max_retries no_fsync digest_file =
+  let run () trace_path state_dir batch_timeout queue_cap snapshot_every
+      max_retries no_fsync digest_file =
     check_fault_plan ();
-    let mode =
-      match Serve.Serve_loop.mode_of_string repair_mode with
-      | Some m -> m
-      | None ->
-          die "unknown --repair mode %S (incremental, full or offline)"
-            repair_mode
-    in
     let text =
       if trace_path = "-" then read_all stdin
       else
@@ -528,9 +503,7 @@ let serve_cmd =
     let config =
       {
         (Serve.Serve_loop.default ~state_dir) with
-        Serve.Serve_loop.mode;
-        dirty_threshold;
-        batch_timeout_s = batch_timeout;
+        Serve.Serve_loop.batch_timeout_s = batch_timeout;
         queue_cap;
         snapshot_every;
         max_retries;
@@ -576,9 +549,8 @@ let serve_cmd =
   in
   let term =
     Term.(
-      const run $ logs_term $ trace_arg $ state_arg $ repair_arg
-      $ dirty_threshold $ batch_timeout $ queue_cap $ snapshot_every
-      $ max_retries $ no_fsync $ digest_arg)
+      const run $ logs_term $ trace_arg $ state_arg $ batch_timeout
+      $ queue_cap $ snapshot_every $ max_retries $ no_fsync $ digest_arg)
   in
   Cmd.v
     (Cmd.info "serve"

@@ -31,7 +31,6 @@ type net = {
   source : int;
   sink : int;
   pair_arcs : int;
-  dense_pairs : int;
 }
 
 type stats = {
@@ -40,7 +39,6 @@ type stats = {
   augmentations : int;
   dropped_pairs : int;
   pair_arcs : int;
-  dense_pairs : int;
   timed_out : bool;
 }
 
@@ -142,7 +140,7 @@ let build_network ?jobs instance =
   if Audit.enabled () then
     audit_pruned_pairs ~site:"Mincostflow.build_network" instance g ~n_v
       ~n_u;
-  { graph = g; source; sink; pair_arcs; dense_pairs = n_v * n_u }
+  { graph = g; source; sink; pair_arcs }
 
 let solve_with_stats ?deadline ?jobs instance =
   let n_v = Instance.n_events instance in
@@ -235,7 +233,6 @@ let solve_with_stats ?deadline ?jobs instance =
       augmentations = outcome.Mcf.iaugmentations;
       dropped_pairs = !dropped;
       pair_arcs = net.pair_arcs;
-      dense_pairs = net.dense_pairs;
       timed_out = outcome.Mcf.itimed_out;
     } )
 

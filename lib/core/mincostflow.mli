@@ -42,8 +42,7 @@ type net = {
   graph : Geacc_flow.Graph.t;
   source : int;
   sink : int;
-  pair_arcs : int;    (** (v,u) arcs actually emitted. *)
-  dense_pairs : int;  (** |V|·|U|, what the paper's construction emits. *)
+  pair_arcs : int;  (** (v,u) arcs actually emitted. *)
 }
 (** The Step-1 network. Event [v] is node [1 + v], user [u] is node
     [1 + |V| + u]. *)
@@ -54,7 +53,6 @@ type stats = {
   augmentations : int;     (** Shortest-path computations that pushed flow. *)
   dropped_pairs : int;     (** Pairs removed by conflict resolution. *)
   pair_arcs : int;         (** (v,u) arcs in the network that was solved. *)
-  dense_pairs : int;       (** |V|·|U| for the same instance. *)
   timed_out : bool;        (** [true] when [deadline] stopped the flow sweep
                                 early: conflict resolution then ran on a
                                 min-cost flow of a smaller Δ, so the result

@@ -4,19 +4,6 @@ module Chain = Geacc_robust.Chain
 module Error = Geacc_robust.Error
 module Fault = Geacc_robust.Fault
 
-type mode = Incremental | Full | Offline
-
-let mode_name = function
-  | Incremental -> "incremental"
-  | Full -> "full"
-  | Offline -> "offline"
-
-let mode_of_string = function
-  | "incremental" -> Some Incremental
-  | "full" -> Some Full
-  | "offline" -> Some Offline
-  | _ -> None
-
 type health = Healthy | Degraded | Draining
 
 let health_name = function
@@ -26,7 +13,6 @@ let health_name = function
 
 type config = {
   state_dir : string;
-  mode : mode;
   dirty_threshold : float;
   batch_timeout_s : float;
   queue_cap : int;
@@ -39,7 +25,6 @@ type config = {
 let default ~state_dir =
   {
     state_dir;
-    mode = Incremental;
     dirty_threshold = 0.5;
     batch_timeout_s = 0.;
     queue_cap = 64;
@@ -62,7 +47,6 @@ type report = {
   retries : int;
   replayed : int;
   latencies_s : float list;
-  journal_s : float;
   health : health;
   digest : string;
   maxsum : float;
@@ -80,21 +64,18 @@ let snapshot_path c = Filename.concat c.state_dir "snapshot.geacc"
 let ensure_dir path =
   if not (Sys.file_exists path) then Unix.mkdir path 0o755
 
-(* -- Repair dispatch -------------------------------------------------- *)
+(* -- Repair ------------------------------------------------------------ *)
 
 (* The serving arrangement is canonical (Online greedy in id order), so the
    incremental stage and the full stage compute the same pairs — the chain
    only decides how much gets replayed and what happens under deadline
-   pressure or injected faults. Offline mode instead re-solves with the
-   anytime chain (MinCostFlow -> Greedy) on every batch: better MaxSum,
-   no incrementality. *)
+   pressure or injected faults. *)
 
 let chain_repair c state ~timeout_s =
   let n = Serve_state.n_users state in
   let from = Serve_state.dirty_from state in
   let want_full =
-    c.mode = Full
-    || (n > 0 && float_of_int (n - from) >= c.dirty_threshold *. float_of_int n)
+    n > 0 && float_of_int (n - from) >= c.dirty_threshold *. float_of_int n
   in
   let stage name from =
     Chain.stage ~name (fun state ~budget ->
@@ -114,50 +95,6 @@ let chain_repair c state ~timeout_s =
   in
   Chain.run ?timeout_s ~max_retries:c.max_retries ~backoff_s:c.backoff_s
     ~better stages state
-
-let offline_repair c state ~timeout_s =
-  match Serve_state.instance state with
-  | None ->
-      Ok
-        ( {
-            Serve_state.matching = None;
-            served_to = 0;
-            complete = true;
-            replayed_from = 0;
-          },
-          Chain.Complete,
-          None,
-          0 )
-  | Some inst -> (
-      match
-        Anytime.solve ?timeout_s ~max_retries:c.max_retries
-          ~backoff_s:c.backoff_s
-          ~algorithms:[ Solver.Min_cost_flow; Solver.Greedy ]
-          inst
-      with
-      | Error _ as e -> e
-      | Ok (rep : Anytime.report) ->
-          Ok
-            ( {
-                Serve_state.matching = Some rep.Anytime.matching;
-                served_to = Serve_state.n_users state;
-                complete = rep.Anytime.status = Chain.Complete;
-                replayed_from = 0;
-              },
-              rep.Anytime.status,
-              rep.Anytime.reason,
-              rep.Anytime.retries ))
-
-(* One repair attempt in the configured mode: the repair record, its
-   completion status, the degradation reason and the retry count. *)
-let attempt_repair c state ~timeout_s =
-  match c.mode with
-  | Incremental | Full -> (
-      match chain_repair c state ~timeout_s with
-      | Error _ as e -> e
-      | Ok (o : Serve_state.repair Chain.outcome) ->
-          Ok (o.Chain.value, o.Chain.status, o.Chain.reason, o.Chain.retries))
-  | Offline -> offline_repair c state ~timeout_s
 
 (* -- Startup recovery ------------------------------------------------- *)
 
@@ -204,10 +141,8 @@ let recover c ~sim =
                              it; replay rejects it identically. *)
                           ()
                       | Ok () -> (
-                          match
-                            attempt_repair c state ~timeout_s:None
-                          with
-                          | Ok (r, _, _, _) -> Serve_state.commit state r
+                          match chain_repair c state ~timeout_s:None with
+                          | Ok o -> Serve_state.commit state o.Chain.value
                           | Error _ ->
                               (* No deadline is armed during recovery, so the
                                  chain can only fail through injected faults;
@@ -252,7 +187,7 @@ let run c ~out trace =
       and full_replays = ref 0
       and snapshots = ref 0
       and retries = ref 0 in
-      let latencies = ref [] and journal_s = ref 0. in
+      let latencies = ref [] in
       let maybe_snapshot seq =
         if c.snapshot_every > 0 && !since_snapshot >= c.snapshot_every then begin
           Snapshot.save ~path:(snapshot_path c) state;
@@ -278,12 +213,10 @@ let run c ~out trace =
       in
       let serve_batch (batch : Trace.batch) =
         let t0 = Budget.now_s () in
-        let j0 = t0 in
         Journal.append journal ~seq:batch.Trace.seq
           ~payload:(Trace.batch_to_string batch);
         journaled := batch.Trace.seq;
         incr since_snapshot;
-        journal_s := !journal_s +. (Budget.now_s () -. j0);
         Fault.inject "serve.crash";
         (match Serve_state.apply_batch state batch with
         | Error e ->
@@ -291,7 +224,7 @@ let run c ~out trace =
             p "error %d %s" batch.Trace.seq (Error.to_string e)
         | Ok () -> (
             incr applied;
-            match attempt_repair c state ~timeout_s with
+            match chain_repair c state ~timeout_s with
             | Error e ->
                 (* Nothing usable before the deadline (or every stage
                    faulted): the batch stays applied but unserved; the
@@ -302,7 +235,14 @@ let run c ~out trace =
                   (Serve_state.cursor state)
                   (Serve_state.n_users state)
                   (Error.to_string e)
-            | Ok (repair, status, reason, stage_retries) -> (
+            | Ok
+                {
+                  Chain.value = repair;
+                  status;
+                  reason;
+                  retries = stage_retries;
+                  _;
+                } -> (
                 (match repair.Serve_state.matching with
                 | Some m -> Validate.audit_matching ~site:"serve.commit" m
                 | None -> ());
@@ -379,7 +319,6 @@ let run c ~out trace =
           retries = !retries;
           replayed;
           latencies_s = List.rev !latencies;
-          journal_s = !journal_s;
           health = !health;
           digest;
           maxsum = Serve_state.maxsum state;

@@ -32,13 +32,6 @@
     until a batch again completes fully (while degraded, admission sheds
     every [Optional] batch), [Draining] once the input is exhausted. *)
 
-type mode = Incremental | Full | Offline
-
-val mode_name : mode -> string
-(** ["incremental"] / ["full"] / ["offline"]. *)
-
-val mode_of_string : string -> mode option
-
 type health = Healthy | Degraded | Draining
 
 val health_name : health -> string
@@ -46,10 +39,11 @@ val health_name : health -> string
 
 type config = {
   state_dir : string;  (** Holds [journal.wal] and [snapshot.geacc]. *)
-  mode : mode;
   dirty_threshold : float;
       (** Fraction of users: when the dirty suffix reaches it, skip the
-          incremental stage and replay from 0 directly (default 0.5). *)
+          incremental stage and replay from 0 directly (default 0.5). The
+          two stages produce the same pairs, so this only trades a long
+          suffix walk for a cheaper full replay. *)
   batch_timeout_s : float;  (** Per-batch deadline; [<= 0] = unlimited. *)
   queue_cap : int;  (** Admission bound per timestamp group. *)
   snapshot_every : int;
@@ -57,11 +51,11 @@ type config = {
           [<= 0] = never. *)
   max_retries : int;  (** Chain retries for transient faults. *)
   backoff_s : float;
-  fsync : bool;  (** [false] trades durability for journal speed (bench). *)
+  fsync : bool;  (** [false] trades durability for journal speed. *)
 }
 
 val default : state_dir:string -> config
-(** Incremental mode, threshold 0.5, no deadline, queue cap 64, snapshot
+(** Threshold 0.5, no deadline, queue cap 64, snapshot
     every 32 journal appends, 2 retries, no backoff, fsync on. *)
 
 type report = {
@@ -78,7 +72,6 @@ type report = {
   replayed : int;  (** Journal records replayed during startup recovery. *)
   latencies_s : float list;
       (** Per-admitted-batch wall seconds, in batch order. *)
-  journal_s : float;  (** Total wall time inside journal appends. *)
   health : health;
   digest : string;
   maxsum : float;

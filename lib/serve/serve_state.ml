@@ -98,8 +98,6 @@ let maxsum t =
 
 let dirty_from t = min (min t.dirty t.cursor) t.users.len
 
-let mark_all_dirty t = t.dirty <- 0
-
 (* -- Applying a batch ------------------------------------------------- *)
 
 exception Reject of string

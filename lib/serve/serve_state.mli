@@ -22,11 +22,12 @@
     holder; an increase the smallest candidate not already holding the
     event; a new conflict the smallest user that is a candidate of both
     ends (only such a user can hold one end while attempting the other) —
-    so {!repair} from the bound is bit-identical to a full re-solve, which
-    is exactly [repair] after {!mark_all_dirty}. Budget expiry mid-repair is
-    safe for the same reason: re-walking a partially served user skips its
-    held events as duplicates and continues where the walk stopped, so the
-    [cursor] marks an exact resume point. *)
+    so {!repair} from the bound is bit-identical to a full re-solve,
+    [repair ~from:0] (the serve tests check this at every batch of several
+    generated traces). Budget expiry mid-repair is safe for the same
+    reason: re-walking a partially served user skips its held events as
+    duplicates and continues where the walk stopped, so the [cursor] marks
+    an exact resume point. *)
 
 type t
 
@@ -69,10 +70,6 @@ val dirty_from : t -> int
 (** The position {!repair} would replay from: the maintained first-dirty
     bound, capped by {!cursor} and [n_users]. Equal to [n_users] when the
     state is clean and fully served. *)
-
-val mark_all_dirty : t -> unit
-(** Forces the next {!repair} to replay from 0 (the [--repair full]
-    path and the recovery self-check). *)
 
 val apply_batch : t -> Trace.batch -> (unit, Geacc_robust.Error.t) result
 (** Validates every operation of the batch against the current state

@@ -3,7 +3,7 @@
    sweep asserting that recovery from any checkpoint reaches the digest of an
    uninterrupted run.
 
-   Everything runs on tiny Meetup-shaped traces; wall-clock deadlines are
+   Everything runs on small Meetup-shaped traces; wall-clock deadlines are
    never armed — budget expiry goes through [timeout.<stage>@N] fault-plan
    entries so the degradations replay identically on every run. *)
 
@@ -373,21 +373,70 @@ let test_admission_degraded_sheds_optional () =
 
 (* -- Serving loop ------------------------------------------------------ *)
 
-let test_incremental_equals_full () =
-  let trace = tiny_trace () in
-  let digest_of mode =
-    with_tmpdir (fun dir ->
-        let config =
-          { (Serve_loop.default ~state_dir:dir) with Serve_loop.mode }
-        in
-        let report = run_ok config trace in
-        Alcotest.(check int) "clean run" 0 (Serve_loop.exit_status report);
-        (report.Serve_loop.digest, Int64.bits_of_float report.Serve_loop.maxsum))
+(* The dirty-bound contract, checked at every applied batch: repairing from
+   the maintained first-dirty bound yields exactly the pairs and MaxSum bits
+   of a replay from 0, and starts where [dirty_from] said it would — a
+   replay that starts lower means the defensive fallback fired, i.e. a
+   committed prefix pair failed to re-add because the bound was too high.
+   Committing the incremental result carries the check into the next
+   batch. The cases span both cities, churn 0.1-0.5 and 1-8 arrivals per
+   batch, so every bound rule (arrival, departure, open, close, capacity
+   down and up, conflict) fires many times. *)
+let test_repair_equals_full_per_batch () =
+  let cases =
+    [
+      (tiny_city, 5, 1, 0.1);
+      (tiny_city, 9, 8, 0.5);
+      (Meetup.auckland, 1, 8, 0.1);
+      (Meetup.auckland, 3, 2, 0.5);
+    ]
   in
-  let di, mi = digest_of Serve_loop.Incremental in
-  let df, mf = digest_of Serve_loop.Full in
-  Alcotest.(check string) "digest bit-identical" df di;
-  Alcotest.(check int64) "maxsum bit-identical" mf mi
+  let unlimited = Geacc_robust.Budget.unlimited in
+  let pairs (r : Serve_state.repair) =
+    Option.fold ~none:[] ~some:Geacc_core.Matching.pairs r.Serve_state.matching
+  in
+  let bits (r : Serve_state.repair) =
+    Option.fold ~none:0L
+      ~some:(fun m ->
+        Int64.bits_of_float (Geacc_core.Matching.maxsum_recomputed m))
+      r.Serve_state.matching
+  in
+  let batches = ref 0 and partial = ref 0 in
+  List.iter
+    (fun ((city : Meetup.city), seed, arrivals_per_batch, churn) ->
+      let trace =
+        Trace_gen.generate ~seed ~city ~arrivals_per_batch ~churn ()
+      in
+      let state = Serve_state.create ~sim:trace.Trace.sim in
+      List.iter
+        (fun (b : Trace.batch) ->
+          let where =
+            Printf.sprintf "%s seed %d batch %d" city.Meetup.name seed
+              b.Trace.seq
+          in
+          match Serve_state.apply_batch state b with
+          | Error e -> Alcotest.failf "%s: %s" where (Error.to_string e)
+          | Ok () ->
+              let from = Serve_state.dirty_from state in
+              let inc = Serve_state.repair state ~deadline:unlimited in
+              let full = Serve_state.repair ~from:0 state ~deadline:unlimited in
+              Alcotest.(check int)
+                (where ^ ": replayed from the dirty bound")
+                from inc.Serve_state.replayed_from;
+              Alcotest.(check (list (pair int int)))
+                (where ^ ": pairs") (pairs full) (pairs inc);
+              Alcotest.(check int64)
+                (where ^ ": maxsum bits") (bits full) (bits inc);
+              incr batches;
+              if from > 0 then incr partial;
+              Serve_state.commit state inc)
+        trace.Trace.batches)
+    cases;
+  Alcotest.(check bool)
+    (Printf.sprintf "partial replays exercised (%d of %d batches)" !partial
+       !batches)
+    true
+    (!partial > !batches / 2)
 
 (* Shedding a state-changing batch shifts every later arrival's id, which
    cascades into apply errors — realistic, but noise here. These tests pin
@@ -442,21 +491,6 @@ let test_shed_exit_status () =
       Alcotest.(check int) "no errors" 0 report.Serve_loop.errors;
       Alcotest.(check int) "exactly the probe shed" 1 report.Serve_loop.shed;
       Alcotest.(check int) "exit shed" 3 (Serve_loop.exit_status report))
-
-let test_offline_mode_runs_clean () =
-  let trace = tiny_trace () in
-  with_tmpdir (fun dir ->
-      let config =
-        {
-          (Serve_loop.default ~state_dir:dir) with
-          Serve_loop.mode = Serve_loop.Offline;
-        }
-      in
-      let report = run_ok config trace in
-      Alcotest.(check int) "clean run" 0 (Serve_loop.exit_status report);
-      Alcotest.(check int)
-        "everything applied" report.Serve_loop.batches
-        report.Serve_loop.applied)
 
 (* -- Crash sweep ------------------------------------------------------- *)
 
@@ -661,12 +695,9 @@ let suite =
       test_admission_must_overflows;
     Alcotest.test_case "admission: degraded sheds optionals" `Quick
       test_admission_degraded_sheds_optional;
-    Alcotest.test_case "loop: incremental == full" `Quick
-      test_incremental_equals_full;
     Alcotest.test_case "loop: deadline degrades (exit 3)" `Quick
       test_deadline_degrades;
     Alcotest.test_case "loop: shed maps to exit 3" `Quick test_shed_exit_status;
-    Alcotest.test_case "loop: offline mode" `Quick test_offline_mode_runs_clean;
     Alcotest.test_case "loop: re-run is idempotent" `Quick
       test_recovery_is_idempotent;
     Alcotest.test_case "loop: rejected tail survives restarts" `Quick
@@ -675,6 +706,8 @@ let suite =
       test_rejected_batches_bound_the_journal;
     Alcotest.test_case "state: dirty bound survives save/load" `Quick
       test_state_dirty_survives_save_load;
+    Alcotest.test_case "state: repair == full per batch" `Quick
+      test_repair_equals_full_per_batch;
     Alcotest.test_case "crash sweep: every checkpoint recovers" `Slow
       test_crash_sweep;
   ]
