@@ -430,49 +430,6 @@ let fig6_vs_exhaustive profile =
 
 (* -- Ablations (beyond the paper): design-choice studies ---------------- *)
 
-(* Greedy-GEACC's lazy NN-stream enumeration vs materialising and sorting
-   all |V|x|U| pairs. Same arrangement by construction; the ablation
-   quantifies the time/memory gap that justifies the index machinery. *)
-let ablation_greedy profile =
-  let us =
-    if profile.full then [ 1_000; 5_000; 10_000; 25_000; 50_000 ]
-    else [ 1_000; 5_000; 10_000 ]
-  in
-  let table =
-    Table.create
-      ~title:
-        "Ablation: Greedy-GEACC heap+NN-streams vs naive sort-all-pairs \
-         (|V|=100)"
-      ~headers:
-        [ "|U|"; "stream time (ms)"; "naive time (ms)"; "stream mem (MB)";
-          "naive mem (MB)"; "MaxSum equal" ]
-  in
-  List.iter
-    (fun n_users ->
-      Printf.eprintf "[bench] ablation-greedy: |U| = %d\n%!" n_users;
-      let cfg = { Synthetic.default with Synthetic.n_users } in
-      let make () = Synthetic.generate ~seed:1 cfg in
-      let m1, t1 = Measure.time (fun () -> Greedy.solve (make ())) in
-      let _, mem1, _ =
-        Measure.run_with_peak (fun () -> Greedy.solve (make ()))
-      in
-      let m2, t2 = Measure.time (fun () -> Greedy_naive.solve (make ())) in
-      let _, mem2, _ =
-        Measure.run_with_peak (fun () -> Greedy_naive.solve (make ()))
-      in
-      Table.add_row table
-        [
-          string_of_int n_users;
-          Printf.sprintf "%.1f" (t1 *. 1000.);
-          Printf.sprintf "%.1f" (t2 *. 1000.);
-          Printf.sprintf "%.1f" (float_of_int mem1 /. 1048576.);
-          Printf.sprintf "%.1f" (float_of_int mem2 /. 1048576.);
-          string_of_bool
-            (Float.abs (Matching.maxsum m1 -. Matching.maxsum m2) < 1e-9);
-        ])
-    us;
-  Table.print table
-
 (* Prune-GEACC's two ingredients — the Lemma 6 bound and the Greedy warm
    start — toggled independently. *)
 let ablation_prune profile =
@@ -651,9 +608,6 @@ let all : (string * string * (profile -> unit)) list =
     ("fig5-approx", "Fig 5c,d: approximation quality vs exact", fig5_approx);
     ("fig6-depth", "Fig 6a: average pruned depth", fig6_prune_depth);
     ("fig6-search", "Fig 6b-d: Prune vs exhaustive search", fig6_vs_exhaustive);
-    ( "ablation-greedy",
-      "Ablation: NN-stream greedy vs sort-all-pairs greedy",
-      ablation_greedy );
     ( "ablation-prune",
       "Ablation: Lemma 6 bound and warm start toggled",
       ablation_prune );

@@ -74,17 +74,22 @@ let dijkstra_test =
            ~queue:(Geacc_pqueue.Int_bucket_queue.create ())
            ~stop_at:500 ()))
 
-(* One neighbour stream opened and drained rank by rank: the full distance
-   scan plus every quickselect extension of the sorted prefix. *)
+(* One neighbour stream opened and drained rank by rank: the full
+   Equation-1 similarity scan plus every quickselect extension of the
+   sorted prefix. *)
 let nn_stream_test =
   let points =
     Array.init 2000 (fun i ->
         Array.init 20 (fun k -> float_of_int ((i * (k + 13)) mod 997)))
   in
   let query = Array.init 20 (fun k -> float_of_int (50 * k)) in
+  let sim = Geacc_core.Similarity.euclidean ~dim:20 ~range:1000. in
   Test.make ~name:"nn_stream drain (2k pts, d=20)"
     (Staged.stage (fun () ->
-         let s = Geacc_index.Nn_stream.create points query in
+         let s =
+           Geacc_index.Nn_stream.create (Array.length points) (fun i ->
+               Geacc_core.Similarity.eval sim query points.(i))
+         in
          let rank = ref 1 in
          while Option.is_some (Geacc_index.Nn_stream.get s !rank) do
            incr rank

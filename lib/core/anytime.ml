@@ -32,8 +32,8 @@ let run_once algorithm instance ~deadline =
       let m, stats = Mincostflow.solve_with_stats ~deadline instance in
       (m, not stats.Mincostflow.timed_out)
   | Solver.Greedy -> Greedy.solve_anytime ~deadline instance
-  | ( Solver.Random_v | Solver.Random_u | Solver.Greedy_naive
-    | Solver.Greedy_ls | Solver.Online ) as a ->
+  | ( Solver.Random_v | Solver.Random_u | Solver.Greedy_ls
+    | Solver.Online ) as a ->
       (Solver.run a instance, true)
 
 let stage ?timeout_s algorithm =
@@ -43,8 +43,7 @@ let stage ?timeout_s algorithm =
     match algorithm with
     | Solver.Min_cost_flow -> 1
     | Solver.Prune | Solver.Exhaustive | Solver.Greedy | Solver.Random_v
-    | Solver.Random_u | Solver.Greedy_naive | Solver.Greedy_ls
-    | Solver.Online ->
+    | Solver.Random_u | Solver.Greedy_ls | Solver.Online ->
         64
   in
   Chain.stage ?timeout_s ~poll_every ~name:(Solver.short_name algorithm)

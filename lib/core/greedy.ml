@@ -15,17 +15,9 @@ let candidate_cmp c1 c2 =
 type state = {
   instance : Instance.t;
   matching : Matching.t;
-  heap : candidate Heap.t;
-  pushed : (int, unit) Hashtbl.t;  (* pairs ever pushed; key v * |U| + u *)
+  heap : candidate Heap.t;  (* at most one entry per event: its list head *)
   event_rank : int array;  (* next NN rank to examine per event *)
-  user_rank : int array;
 }
-
-let pair_key st ~v ~u = (v * Instance.n_users st.instance) + u
-
-let was_pushed st ~v ~u = Hashtbl.mem st.pushed (pair_key st ~v ~u)
-
-let mark_pushed st ~v ~u = Hashtbl.replace st.pushed (pair_key st ~v ~u) ()
 
 (* Would adding {v,u} right now violate a capacity or conflict constraint?
    All three conditions are monotone: once true they stay true, which is
@@ -35,43 +27,16 @@ let infeasible st ~v ~u =
   || Matching.remaining_user_capacity st.matching u <= 0
   || Matching.user_conflicts_with st.matching ~u ~v
 
-(* Advance [v]'s cursor to its next feasible neighbour that has never been
-   pushed, and push that pair. Neighbours already pushed (possibly still in
-   the heap) are skipped permanently: they will be, or have been, processed
-   when popped. *)
+(* Advance [v]'s cursor past its infeasible neighbours and push the first
+   feasible one as [v]'s new list head. *)
 let refill_event st v =
   (* poll: ok — the rank cursor only ever advances, so refills are amortized across the popping loop, which polls *)
   let rec scan () =
     match Instance.event_neighbor st.instance ~v ~rank:st.event_rank.(v) with
     | None -> ()
     | Some (u, sim) ->
-        if was_pushed st ~v ~u || infeasible st ~v ~u then begin
-          st.event_rank.(v) <- st.event_rank.(v) + 1;
-          scan ()
-        end
-        else begin
-          mark_pushed st ~v ~u;
-          Heap.push st.heap { sim; v; u };
-          st.event_rank.(v) <- st.event_rank.(v) + 1
-        end
-  in
-  scan ()
-
-let refill_user st u =
-  (* poll: ok — the rank cursor only ever advances, so refills are amortized across the popping loop, which polls *)
-  let rec scan () =
-    match Instance.user_neighbor st.instance ~u ~rank:st.user_rank.(u) with
-    | None -> ()
-    | Some (v, sim) ->
-        if was_pushed st ~v ~u || infeasible st ~v ~u then begin
-          st.user_rank.(u) <- st.user_rank.(u) + 1;
-          scan ()
-        end
-        else begin
-          mark_pushed st ~v ~u;
-          Heap.push st.heap { sim; v; u };
-          st.user_rank.(u) <- st.user_rank.(u) + 1
-        end
+        st.event_rank.(v) <- st.event_rank.(v) + 1;
+        if infeasible st ~v ~u then scan () else Heap.push st.heap { sim; v; u }
   in
   scan ()
 
@@ -81,21 +46,16 @@ let solve_anytime ?(deadline = Budget.unlimited) instance =
       instance;
       matching = Matching.create instance;
       heap = Heap.create ~cmp:candidate_cmp ();
-      pushed = Hashtbl.create 1024;
       event_rank = Array.make (Instance.n_events instance) 1;
-      user_rank = Array.make (Instance.n_users instance) 1;
     }
   in
-  (* Initialisation (Algorithm 2, lines 1-9): each node contributes its
-     first NN pair; duplicate pairs are pushed once. *)
+  (* Initialisation (Algorithm 2, lines 1-9): each event contributes its
+     first feasible pair. *)
   for v = 0 to Instance.n_events instance - 1 do
     if Instance.event_capacity instance v > 0 then refill_event st v
   done;
-  for u = 0 to Instance.n_users instance - 1 do
-    if Instance.user_capacity instance u > 0 then refill_user st u
-  done;
   (* Iteration (lines 11-23): pop the most similar candidate, match it when
-     feasible, then refill from both endpoints that still have capacity.
+     still feasible, then refill from its event if that has capacity left.
      The deadline is polled between pops, so every matched pair went through
      the full feasibility check and the prefix stays feasible on expiry. *)
   let rec loop () =
@@ -108,8 +68,6 @@ let solve_anytime ?(deadline = Budget.unlimited) instance =
           | Ok _ | Error _ -> ());
           if Matching.remaining_event_capacity st.matching v > 0 then
             refill_event st v;
-          if Matching.remaining_user_capacity st.matching u > 0 then
-            refill_user st u;
           (* Audit at the step granularity: a conflict or capacity overflow is
              reported at the pop that introduced it, with the heap's structure
              checked alongside the partial matching. *)

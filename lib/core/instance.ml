@@ -1,25 +1,13 @@
 module Nn_stream = Geacc_index.Nn_stream
 
-(* Lazily-built neighbour source for one direction of queries (e.g. events
-   querying users). [Indexed] serves ranks from an NN stream over the
-   target points per querying node; [Scanned] caches a full sorted scan per
-   node (fallback for similarities that are not monotone in distance). *)
-type source =
-  | Indexed of {
-      profile : Similarity.profile;
-      points : Geacc_index.Point.t array;  (* the targets' attributes *)
-      streams : Nn_stream.t option array;  (* per querying node *)
-    }
-  | Scanned of { sorted : (int * float) array option array }
-
 type t = {
   events : Entity.t array;
   users : Entity.t array;
   conflicts : Conflict.t;
   similarity : Similarity.t;
   dim : int;
-  mutable event_queries : source option;  (* events asking for users *)
-  mutable user_queries : source option;   (* users asking for events *)
+  event_streams : Nn_stream.t option array;  (* per event, over the users *)
+  user_streams : Nn_stream.t option array;  (* per user, over the events *)
 }
 
 let create ~sim ~events ~users ~conflicts () =
@@ -51,8 +39,8 @@ let create ~sim ~events ~users ~conflicts () =
     conflicts;
     similarity = sim;
     dim;
-    event_queries = None;
-    user_queries = None;
+    event_streams = Array.make (Array.length events) None;
+    user_streams = Array.make (Array.length users) None;
   }
 
 let n_events t = Array.length t.events
@@ -92,169 +80,76 @@ let sum_user_capacity t = sum_capacity t.users
 let max_event_capacity t = max_capacity t.events
 let max_user_capacity t = max_capacity t.users
 
-let build_source t ~targets =
-  let n_queriers =
-    if targets == t.users then Array.length t.events else Array.length t.users
-  in
-  match Similarity.dist_profile t.similarity with
-  | Some profile ->
-      let points = Array.map (fun (e : Entity.t) -> e.Entity.attrs) targets in
-      Indexed { profile; points; streams = Array.make n_queriers None }
-  | None -> Scanned { sorted = Array.make n_queriers None }
-
-let event_source t =
-  match t.event_queries with
-  | Some s -> s
-  | None ->
-      let s = build_source t ~targets:t.users in
-      t.event_queries <- Some s;
-      s
-
-let user_source t =
-  match t.user_queries with
-  | Some s -> s
-  | None ->
-      let s = build_source t ~targets:t.events in
-      t.user_queries <- Some s;
-      s
-
-let scan_sorted t ~query_is_event ~node =
-  let n = if query_is_event then n_users t else n_events t in
-  let pairs = ref [] in
-  for j = n - 1 downto 0 do
-    let s =
-      if query_is_event then sim t ~v:node ~u:j else sim t ~v:j ~u:node
-    in
-    if s > 0. then pairs := (j, s) :: !pairs
-  done;
-  let a = Array.of_list !pairs in
-  Array.sort
-    (fun (i1, s1) (i2, s2) ->
-      let c = Float.compare s2 s1 in
-      if c <> 0 then c else Int.compare i1 i2)
-    a;
-  a
-
-let neighbor t source ~query_is_event ~node ~rank =
-  assert (rank >= 1);
-  match source with
-  | Indexed { profile; points; streams } ->
-      let stream =
-        match streams.(node) with
-        | Some s -> s
-        | None ->
-            let query =
-              if query_is_event then t.events.(node).Entity.attrs
-              else t.users.(node).Entity.attrs
-            in
-            let s =
-              Nn_stream.create ~max_dist:profile.Similarity.cutoff points query
-            in
-            streams.(node) <- Some s;
-            s
-      in
-      (match Nn_stream.get stream rank with
-      | None -> None
-      | Some (idx, dist) ->
-          let s = profile.Similarity.sim_of_dist dist in
-          (* Monotone profile: once similarity underflows to 0, so do all
-             later ranks. *)
-          if s > 0. then Some (idx, s) else None)
-  | Scanned { sorted } ->
-      let a =
-        match sorted.(node) with
-        | Some a -> a
-        | None ->
-            let a = scan_sorted t ~query_is_event ~node in
-            sorted.(node) <- Some a;
-            a
-      in
-      if rank <= Array.length a then Some a.(rank - 1) else None
-
+(* Neighbour streams rank the other side by the clean similarity, always
+   evaluated as [eval event user]: the same value as [sim] without a fault
+   plan, so the stream order is exactly the solvers' (sim desc, id asc). *)
 let event_neighbor t ~v ~rank =
-  neighbor t (event_source t) ~query_is_event:true ~node:v ~rank
+  let stream =
+    match t.event_streams.(v) with
+    | Some s -> s
+    | None ->
+        let lv = t.events.(v).Entity.attrs in
+        let s =
+          Nn_stream.create (n_users t) (fun u ->
+              Similarity.eval t.similarity lv t.users.(u).Entity.attrs)
+        in
+        t.event_streams.(v) <- Some s;
+        s
+  in
+  Nn_stream.get stream rank
 
 let user_neighbor t ~u ~rank =
-  neighbor t (user_source t) ~query_is_event:false ~node:u ~rank
+  let stream =
+    match t.user_streams.(u) with
+    | Some s -> s
+    | None ->
+        let lu = t.users.(u).Entity.attrs in
+        let s =
+          Nn_stream.create (n_events t) (fun v ->
+              Similarity.eval t.similarity t.events.(v).Entity.attrs lu)
+        in
+        t.user_streams.(u) <- Some s;
+        s
+  in
+  Nn_stream.get stream rank
 
-let prepare_event_queries t = ignore (event_source t : source)
+let prepare_event_queries (_ : t) = ()
 
 (* Similarity-pruned candidate set of one event, for the flow network
-   builder: every user with [sim > 0], ascending user id. Unlike
-   [event_neighbor] this touches no per-node caches — the indexed path
-   opens a fresh stream per call and the scanned path computes directly —
-   so after [prepare_event_queries] has forced the shared (read-only)
-   point array, concurrent calls from pool workers are safe.
-
-   The indexed path recovers similarities through the distance profile,
-   whose contract ([sim_of_dist (dist lv lu) = eval lv lu]) makes them
-   bitwise-identical to [sim t ~v ~u]; monotonicity lets the collection
-   stop at the first rank whose similarity reaches 0. Both paths pass
-   every value through the [injected_sim] chokepoint under a fault plan,
-   so [sim.*] plans reach the flow build; the stream still stops on the
-   clean value, so a poisoned read never hides later candidates. *)
+   builder: one ascending-u scan that touches no per-node cache, so
+   concurrent calls from pool workers are safe. Under a fault plan each
+   read with a positive clean similarity passes through the [injected_sim]
+   chokepoint, so [sim.*] plans reach the flow build. *)
 let candidate_users t ~v =
-  match t.event_queries with
-  | None ->
-      invalid_arg "Instance.candidate_users: call prepare_event_queries first"
-  | Some (Indexed { profile; points; streams = _ }) ->
-      let stream =
-        Nn_stream.create ~max_dist:profile.Similarity.cutoff points
-          t.events.(v).Entity.attrs
-      in
-      let acc = ref [] and count = ref 0 in
-      (* poll: ok — the stream stops at the first rank below the gate; bounded by the candidate count *)
-      let rec go rank =
-        match Nn_stream.get stream rank with
-        | None -> ()
-        | Some (u, dist) ->
-            let s = profile.Similarity.sim_of_dist dist in
-            if s > 0. then begin
-              let s =
-                if Geacc_robust.Fault.active () then injected_sim s else s
-              in
-              if s > 0. then begin
-                acc := (u, s) :: !acc;
-                incr count
-              end;
-              go (rank + 1)
-            end
-      in
-      go 1;
-      let a = Array.make !count (0, 0.) in
-      List.iter
-        (fun c ->
-          decr count;
-          a.(!count) <- c)
-        !acc;
-      (* Streams yield descending similarity; arc emission wants ascending
-         user id. *)
-      Array.sort (fun (u1, _) (u2, _) -> Int.compare u1 u2) a;
-      a
-  | Some (Scanned _) ->
-      let n = n_users t in
-      let acc = ref [] in
-      for u = n - 1 downto 0 do
-        let s = sim t ~v ~u in
-        if s > 0. then acc := (u, s) :: !acc
-      done;
-      Array.of_list !acc
+  let lv = t.events.(v).Entity.attrs in
+  let acc = ref [] and count = ref 0 in
+  for u = 0 to n_users t - 1 do
+    let s = Similarity.eval t.similarity lv t.users.(u).Entity.attrs in
+    if s > 0. then begin
+      let s = if Geacc_robust.Fault.active () then injected_sim s else s in
+      if s > 0. then begin
+        acc := (u, s) :: !acc;
+        incr count
+      end
+    end
+  done;
+  let a = Array.make !count (0, 0.) in
+  List.iter
+    (fun c ->
+      decr count;
+      a.(!count) <- c)
+    !acc;
+  a
 
-let side_work = function
-  | None -> 0
-  | Some (Indexed { streams; _ }) ->
-      Array.fold_left
-        (fun acc s -> match s with None -> acc | Some _ -> acc + 1)
-        0 streams
-  | Some (Scanned { sorted }) ->
-      Array.fold_left
-        (fun acc s -> match s with None -> acc | Some a -> acc + Array.length a)
-        0 sorted
+let opened streams =
+  Array.fold_left
+    (fun acc s -> match s with None -> acc | Some _ -> acc + 1)
+    0 streams
 
-let neighbor_work t = (side_work t.event_queries, side_work t.user_queries)
+let neighbor_work t = (opened t.event_streams, opened t.user_streams)
 
-(* The prepared query sources depend only on the entities, which are
-   unchanged — swapping the conflicts keeps the (expensive) NN state. *)
+(* The neighbour streams depend only on the entities and the similarity,
+   which are unchanged — swapping the conflicts keeps the opened streams. *)
 let with_conflicts t conflicts = { t with conflicts }
 
 let pp_summary ppf t =

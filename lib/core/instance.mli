@@ -6,11 +6,12 @@
     restricted to strictly positive similarity, in deterministic order
     (descending similarity, ties by id).
 
-    Neighbour enumeration is stream-backed: when the similarity has a
-    distance profile (see {!Similarity.dist_profile}) each node opens a
-    {!Geacc_index.Nn_stream} over the other side on first use and
-    materialises only the prefix of neighbours it actually visits;
-    otherwise a per-node sorted scan is cached on first use. *)
+    Neighbour enumeration is stream-backed: on first use each node opens a
+    {!Geacc_index.Nn_stream} that scores the whole other side with
+    {!Similarity.eval} and materialises only the prefix of neighbours it
+    actually visits. The stream ranks on the similarity itself, so the
+    enumeration order is exactly the (similarity desc, id asc) order the
+    solvers compare on, for every similarity. *)
 
 type t
 
@@ -51,36 +52,37 @@ val max_user_capacity : t -> int
 val event_neighbor : t -> v:int -> rank:int -> (int * float) option
 (** [event_neighbor t ~v ~rank] is the [rank]-th (1-based) most similar user
     of event [v] as [(user id, similarity)], considering only users with
-    positive similarity. [None] when fewer such users exist. *)
+    positive similarity, in descending similarity with ties by ascending
+    user id. The similarity is bitwise {!sim} without a fault plan; ranks
+    are always computed from clean values. [None] when fewer such users
+    exist. *)
 
 val user_neighbor : t -> u:int -> rank:int -> (int * float) option
-(** Symmetric: the [rank]-th most similar event of user [u]. *)
+(** Symmetric: the [rank]-th most similar event of user [u], ties by
+    ascending event id. *)
 
 val prepare_event_queries : t -> unit
-(** Forces the event-side neighbour source (for indexed similarities: the
-    users' attribute array the streams scan) so that subsequent {!candidate_users} calls
-    only read shared state. Must run before querying candidates from pool
-    workers — the lazy initialisation itself is not thread-safe. *)
+(** Does nothing: every neighbour query scans on demand, so no shared
+    state needs building ahead of {!candidate_users}. Kept as the
+    index-build step that [geaccbench] times. *)
 
 val candidate_users : t -> v:int -> (int * float) array
 (** The similarity-pruned candidate users of event [v]: every [(u, s)] with
     [s = sim t ~v ~u] and [s > 0], in ascending user id. Similarities are
     bitwise-identical to {!sim}; under a fault plan each read passes
-    through the same [sim.*] injection point as {!sim}. Unlike
-    {!event_neighbor} this writes no per-node caches: after
-    {!prepare_event_queries}, concurrent calls are safe.
-    @raise Invalid_argument before {!prepare_event_queries} has run. *)
+    through the same [sim.*] injection point as {!sim} when its clean
+    similarity is positive. Unlike {!event_neighbor} this writes no
+    per-node caches, so concurrent calls are safe. *)
 
 val with_conflicts : t -> Conflict.t -> t
-(** The same instance (entities, similarity, prepared neighbour-query
-    state all shared) under a different conflict graph. Used by the
-    serving layer to refresh its cached instance on conflict-only
-    batches without rebuilding the neighbour sources. *)
+(** The same instance (entities, similarity and opened neighbour streams
+    all shared) under a different conflict graph. Used by the serving
+    layer to refresh its cached instance on conflict-only batches without
+    reopening the neighbour streams. *)
 
 val neighbor_work : t -> int * int
 (** Diagnostic: how many (event-side, user-side) neighbour streams have
-    been opened so far by index-backed solvers on this instance (for
-    scanned sources: total entries cached). *)
+    been opened so far on this instance. *)
 
 val pp_summary : Format.formatter -> t -> unit
 (** One-line description: sizes, capacities, conflict ratio, similarity. *)

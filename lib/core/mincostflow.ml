@@ -90,11 +90,10 @@ let build_network ?jobs instance =
      every job count); degree counting then pre-sizes the staging list
      exactly, and the sequential v-major, u-ascending emission fixes edge
      ids — and hence the frozen scan order — by (v, u) rank. *)
-  Instance.prepare_event_queries instance;
   let cand_chunks =
     Pool.parallel_map_chunked ?jobs ~n:n_v (fun ~lo ~hi ->
         Array.init (hi - lo) (fun i ->
-            (* race: ok — candidate_users opens a fresh stream over the shared read-only point array; the only mutable reach is Fault.fire's counters, and a fault plan forces jobs = 1 *)
+            (* race: ok — candidate_users only reads the shared entities and similarity; the only mutable reach is Fault.fire's counters, and a fault plan forces jobs = 1 *)
             Instance.candidate_users instance ~v:(lo + i)))
   in
   let pair_arcs =

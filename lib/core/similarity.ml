@@ -1,7 +1,5 @@
 module Point = Geacc_index.Point
 
-type profile = { sim_of_dist : float -> float; cutoff : float }
-
 type spec =
   | Spec_euclidean of { dim : int; range : float }
   | Spec_gaussian of { sigma : float }
@@ -11,14 +9,12 @@ type spec =
 type t = {
   name : string;
   eval : float array -> float array -> float;
-  dist_profile : profile option;
   spec : spec;
 }
 
 let name t = t.name
 let spec t = t.spec
 let eval t a b = t.eval a b
-let dist_profile t = t.dist_profile
 
 let clamp01 x = if x < 0. then 0. else if x > 1. then 1. else x
 
@@ -26,21 +22,20 @@ let euclidean ~dim ~range =
   if dim <= 0 then invalid_arg "Similarity.euclidean: dim must be positive";
   if range <= 0. then invalid_arg "Similarity.euclidean: range must be positive";
   let diameter = sqrt (float_of_int dim *. range *. range) in
-  let sim_of_dist d = clamp01 (1. -. (d /. diameter)) in
   {
     name = Printf.sprintf "euclidean(d=%d,T=%g)" dim range;
-    eval = (fun a b -> sim_of_dist (Point.dist a b));
-    dist_profile = Some { sim_of_dist; cutoff = diameter };
+    eval = (fun a b -> clamp01 (1. -. (Point.dist a b /. diameter)));
     spec = Spec_euclidean { dim; range };
   }
 
 let gaussian ~sigma =
   if sigma <= 0. then invalid_arg "Similarity.gaussian: sigma must be positive";
-  let sim_of_dist d = exp (-.(d *. d) /. (2. *. sigma *. sigma)) in
   {
     name = Printf.sprintf "gaussian(sigma=%g)" sigma;
-    eval = (fun a b -> sim_of_dist (Point.dist a b));
-    dist_profile = Some { sim_of_dist; cutoff = infinity };
+    eval =
+      (fun a b ->
+        let d = Point.dist a b in
+        exp (-.(d *. d) /. (2. *. sigma *. sigma)));
     spec = Spec_gaussian { sigma };
   }
 
@@ -55,9 +50,8 @@ let cosine =
     if !na = 0. || !nb = 0. then 0.
     else clamp01 (!dot /. (sqrt !na *. sqrt !nb))
   in
-  { name = "cosine"; eval; dist_profile = None; spec = Spec_cosine }
+  { name = "cosine"; eval; spec = Spec_cosine }
 
-let custom ~name ?profile eval =
-  { name; eval; dist_profile = profile; spec = Spec_custom name }
+let custom ~name eval = { name; eval; spec = Spec_custom name }
 
 let pp ppf t = Format.pp_print_string ppf t.name

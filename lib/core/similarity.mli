@@ -6,19 +6,9 @@
     other functions are explicitly allowed, so this module also provides a
     Gaussian kernel and cosine similarity.
 
-    When a similarity is a decreasing function of Euclidean distance it
-    carries a {e distance profile}; index-backed algorithms (Greedy-GEACC,
-    Prune-GEACC) then enumerate neighbours through a distance stream
-    ({!Geacc_index.Nn_stream}) in descending similarity. Similarities without a profile (e.g. cosine) still work —
-    {!Instance} falls back to sorted scans. *)
-
-type profile = {
-  sim_of_dist : float -> float;
-      (** Non-increasing; [sim_of_dist (dist lv lu) = eval lv lu]. *)
-  cutoff : float;
-      (** Distance at which similarity reaches 0 ([infinity] if it never
-          does); pairs at distance >= cutoff can never be matched. *)
-}
+    Every neighbour enumeration ranks pairs by {!eval} itself (see
+    {!Instance.event_neighbor}), so any function in [\[0,1\]] works with
+    every solver; nothing requires it to be a function of distance. *)
 
 type t
 
@@ -34,26 +24,23 @@ val spec : t -> spec
 
 val name : t -> string
 val eval : t -> float array -> float array -> float
-val dist_profile : t -> profile option
 
 val euclidean : dim:int -> range:float -> t
 (** Paper Equation (1) for vectors in [\[0,range\]^dim]:
-    [1 - dist/sqrt(dim·range²)], clamped to [\[0,1\]]. Has a profile with
-    cutoff [sqrt(dim·range²)]. *)
+    [1 - dist/sqrt(dim·range²)], clamped to [\[0,1\]]; 0 from distance
+    [sqrt(dim·range²)] on. *)
 
 val gaussian : sigma:float -> t
 (** [exp(-d²/(2σ²))] of the Euclidean distance [d]; strictly positive, so
-    every pair is matchable. Profile cutoff is [infinity]. Requires
+    every pair is matchable unless it underflows to 0. Requires
     [sigma > 0]. *)
 
 val cosine : t
 (** Cosine of the angle between the vectors clamped to [\[0,1\]]; 0 when
-    either vector is null. No distance profile. *)
+    either vector is null. *)
 
-val custom :
-  name:string -> ?profile:profile -> (float array -> float array -> float) -> t
+val custom : name:string -> (float array -> float array -> float) -> t
 (** Escape hatch for user-supplied similarities. The function must return
-    values in [\[0,1\]]; if [profile] is given it must agree with the
-    function on every pair. *)
+    values in [\[0,1\]] and is called with the event's attributes first. *)
 
 val pp : Format.formatter -> t -> unit

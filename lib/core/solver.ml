@@ -5,14 +5,13 @@ type algorithm =
   | Exhaustive
   | Random_v
   | Random_u
-  | Greedy_naive
   | Greedy_ls
   | Online
 
 let all =
   [
     Greedy; Min_cost_flow; Prune; Exhaustive; Random_v; Random_u;
-    Greedy_naive; Greedy_ls; Online;
+    Greedy_ls; Online;
   ]
 
 let name = function
@@ -22,7 +21,6 @@ let name = function
   | Exhaustive -> "Exhaustive"
   | Random_v -> "Random-V"
   | Random_u -> "Random-U"
-  | Greedy_naive -> "Greedy-GEACC (naive)"
   | Greedy_ls -> "Greedy-GEACC + LS"
   | Online -> "Online-Greedy"
 
@@ -33,7 +31,6 @@ let short_name = function
   | Exhaustive -> "exhaustive"
   | Random_v -> "random-v"
   | Random_u -> "random-u"
-  | Greedy_naive -> "greedy-naive"
   | Greedy_ls -> "greedy-ls"
   | Online -> "online"
 
@@ -48,8 +45,7 @@ let of_string s =
 
 let is_exact = function
   | Prune | Exhaustive -> true
-  | Greedy | Min_cost_flow | Random_v | Random_u | Greedy_naive | Greedy_ls
-  | Online ->
+  | Greedy | Min_cost_flow | Random_v | Random_u | Greedy_ls | Online ->
       false
 
 let run ?rng ?deadline algorithm instance =
@@ -63,6 +59,5 @@ let run ?rng ?deadline algorithm instance =
   | Exhaustive -> Exact.solve_exhaustive ?deadline instance
   | Random_v -> Random_baseline.random_v ~rng instance
   | Random_u -> Random_baseline.random_u ~rng instance
-  | Greedy_naive -> Greedy_naive.solve instance
   | Greedy_ls -> Local_search.solve ?deadline instance
   | Online -> Online.solve_random_order ?deadline ~rng instance

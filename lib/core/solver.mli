@@ -11,8 +11,6 @@ type algorithm =
   | Exhaustive      (** Exact search without pruning (Fig 6 baseline). *)
   | Random_v        (** Random baseline iterating over events. *)
   | Random_u        (** Random baseline iterating over users. *)
-  | Greedy_naive    (** Sort-all-pairs greedy; identical output to
-                        {!Greedy}, ablation baseline. *)
   | Greedy_ls       (** Greedy-GEACC followed by local-search improvement
                         (extension beyond the paper). *)
   | Online          (** Online arrivals in random order, served greedily on

@@ -1,46 +1,47 @@
-(* Every in-range distance is computed once at creation; ranks are then
-   served from a progressively sorted prefix: each extension quickselects
-   the next chunk (geometrically doubling) and sorts only that chunk, so a
-   stream drained to depth m costs O(n + m log m) rather than O(n log n)
-   up front or O(n) heap work per rank. *)
+(* Every positive score is computed once at creation; ranks are then served
+   from a progressively sorted prefix: each extension quickselects the next
+   chunk (geometrically doubling) and sorts only that chunk, so a stream
+   drained to depth m costs O(n + m log m) rather than O(n log n) up front
+   or O(n) heap work per rank. *)
 
 type t = {
-  idxs : int array;  (* parallel arrays over the in-range points *)
-  dists : float array;
+  idxs : int array;  (* parallel arrays over the positively scored indices *)
+  scores : float array;
   len : int;
   mutable sorted_upto : int;  (* prefix [0, sorted_upto) is in final order *)
 }
 
-let create ?(max_dist = infinity) points query =
-  let n = Array.length points in
+let create n score =
   let idxs = Array.make (Stdlib.max 1 n) 0
-  and dists = Array.make (Stdlib.max 1 n) 0. in
+  and scores = Array.make (Stdlib.max 1 n) 0. in
   let kept = ref 0 in
   for i = 0 to n - 1 do
-    let d = Point.dist query points.(i) in
-    if d < max_dist then begin
+    (* alloc: ok — a caller's closure returns its float boxed; binding it adds nothing *)
+    let s = score i in
+    if s > 0. then begin
       idxs.(!kept) <- i;
-      dists.(!kept) <- d;
+      scores.(!kept) <- s;
       incr kept
     end
   done;
-  { idxs; dists; len = !kept; sorted_upto = 0 }
+  { idxs; scores; len = !kept; sorted_upto = 0 }
 
-(* (dist, idx) strict order on positions of the parallel arrays. *)
+(* (score desc, idx asc) strict order on positions of the parallel arrays.
+   Kept scores are positive, so never NaN. *)
 let[@inline] pos_less t i j =
-  t.dists.(i) < t.dists.(j)
-  || (t.dists.(i) = t.dists.(j) && t.idxs.(i) < t.idxs.(j))
+  t.scores.(i) > t.scores.(j)
+  || (t.scores.(i) = t.scores.(j) && t.idxs.(i) < t.idxs.(j))
 
 let swap t i j =
-  let d = t.dists.(i) in
-  t.dists.(i) <- t.dists.(j);
-  t.dists.(j) <- d;
+  let s = t.scores.(i) in
+  t.scores.(i) <- t.scores.(j);
+  t.scores.(j) <- s;
   let x = t.idxs.(i) in
   t.idxs.(i) <- t.idxs.(j);
   t.idxs.(j) <- x
 
 (* Lomuto partition of [lo, hi) with a median-of-three pivot; returns the
-   pivot's final position. The (dist, idx) keys are pairwise distinct (idx
+   pivot's final position. The (score, idx) keys are pairwise distinct (idx
    is unique), so the order is strict and total. *)
 let partition t lo hi =
   let mid = lo + ((hi - lo) / 2) and last = hi - 1 in
@@ -60,7 +61,7 @@ let partition t lo hi =
   !store
 
 (* Quickselect: rearrange [lo, hi) so that positions [lo, k) hold the
-   k-lo smallest elements (in arbitrary order). *)
+   k-lo first-ranked elements (in arbitrary order). *)
 let rec select_prefix t lo hi k =
   if k > lo && k < hi && hi - lo > 1 then begin
     let p = partition t lo hi in
@@ -69,19 +70,19 @@ let rec select_prefix t lo hi k =
   end
 
 let sort_range t lo hi =
-  (* Sort positions [lo, hi) by (dist, idx) via a permutation sort on a
-     scratch index array. *)
+  (* Sort positions [lo, hi) by (score desc, idx asc) via a permutation
+     sort on a scratch index array. *)
   let m = hi - lo in
   if m > 1 then begin
     let order = Array.init m (fun k -> lo + k) in
     Array.sort
       (fun a b ->
-        let c = Float.compare t.dists.(a) t.dists.(b) in
+        let c = Float.compare t.scores.(b) t.scores.(a) in
         if c <> 0 then c else Int.compare t.idxs.(a) t.idxs.(b))
       order;
-    let d = Array.map (fun p -> t.dists.(p)) order in
+    let s = Array.map (fun p -> t.scores.(p)) order in
     let x = Array.map (fun p -> t.idxs.(p)) order in
-    Array.blit d 0 t.dists lo m;
+    Array.blit s 0 t.scores lo m;
     Array.blit x 0 t.idxs lo m
   end
 
@@ -100,4 +101,4 @@ let extend_sorted t j =
 let get t j =
   assert (j >= 1);
   extend_sorted t j;
-  if j <= t.sorted_upto then Some (t.idxs.(j - 1), t.dists.(j - 1)) else None
+  if j <= t.sorted_upto then Some (t.idxs.(j - 1), t.scores.(j - 1)) else None

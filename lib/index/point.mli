@@ -1,7 +1,7 @@
 (** Points in the d-dimensional attribute space.
 
-    Attribute vectors are dense [float array]s; {!Nn_stream} ranks them by
-    {!dist}. *)
+    Attribute vectors are dense [float array]s; the distance-based
+    similarities are functions of {!dist}. *)
 
 type t = float array
 

@@ -1,39 +1,24 @@
-(* Sort-everything reference for Nn_stream's (distance, index) order. *)
-module Point = Geacc_index.Point
+(* Sort-everything reference for Nn_stream's (score desc, index asc) order. *)
 
-type t = { points : Point.t array }
+type t = { scores : float array }
 
-let create points = { points }
+let create scores = { scores }
 
-let by_dist_then_index (i1, d1) (i2, d2) =
-  let c = Float.compare d1 d2 in
-  if c <> 0 then c else Int.compare i1 i2
+let ranked t =
+  let pairs = ref [] in
+  for i = Array.length t.scores - 1 downto 0 do
+    if t.scores.(i) > 0. then pairs := (i, t.scores.(i)) :: !pairs
+  done;
+  let a = Array.of_list !pairs in
+  Array.stable_sort (fun (_, s1) (_, s2) -> Float.compare s2 s1) a;
+  a
 
-let all_sorted t q =
-  let pairs = Array.mapi (fun i p -> (i, Point.dist q p)) t.points in
-  Array.sort by_dist_then_index pairs;
-  pairs
-
-let nearest t q ~k =
+let nearest t ~k =
   assert (k >= 0);
-  let pairs = all_sorted t q in
+  let pairs = ranked t in
   if k >= Array.length pairs then pairs else Array.sub pairs 0 k
 
-let nearest_within t q ~k ~max_dist =
-  let pairs = nearest t q ~k in
-  let keep = ref (Array.length pairs) in
-  (* Sorted ascending: find the cut point. *)
-  (try
-     Array.iteri
-       (fun i (_, d) ->
-         if d >= max_dist then begin
-           keep := i;
-           raise Exit
-         end)
-       pairs
-   with Exit -> ());
-  Array.sub pairs 0 !keep
-
-let nth_nearest t q j =
+let nth_nearest t j =
   assert (j >= 1);
-  if j > Array.length t.points then None else Some (all_sorted t q).(j - 1)
+  let pairs = ranked t in
+  if j > Array.length pairs then None else Some pairs.(j - 1)

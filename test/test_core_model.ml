@@ -39,32 +39,12 @@ let test_euclidean_formula () =
     (1. -. (d /. sqrt 200.))
     (Similarity.eval sim [| 0.; 0. |] [| 3.; 4. |])
 
-let test_euclidean_profile () =
-  let sim = Similarity.euclidean ~dim:4 ~range:100. in
-  match Similarity.dist_profile sim with
-  | None -> Alcotest.fail "euclidean must expose a profile"
-  | Some p ->
-      Alcotest.check close "cutoff = sqrt(d T^2)" 200. p.Similarity.cutoff;
-      Alcotest.check close "profile at 0" 1. (p.Similarity.sim_of_dist 0.);
-      Alcotest.check close "profile at cutoff" 0.
-        (p.Similarity.sim_of_dist 200.);
-      (* The profile must agree with eval. *)
-      let a = [| 1.; 2.; 3.; 4. |] and b = [| 50.; 0.; 9.; 70. |] in
-      Alcotest.check close "profile consistent with eval"
-        (Similarity.eval sim a b)
-        (p.Similarity.sim_of_dist (Geacc_index.Point.dist a b))
-
 let test_gaussian () =
   let sim = Similarity.gaussian ~sigma:2. in
   Alcotest.check close "at zero distance" 1.
     (Similarity.eval sim [| 0. |] [| 0. |]);
   Alcotest.check close "at distance 2 (one sigma)" (exp (-0.5))
-    (Similarity.eval sim [| 0. |] [| 2. |]);
-  match Similarity.dist_profile sim with
-  | Some p ->
-      Alcotest.(check bool) "never cuts off" true
-        (p.Similarity.cutoff = infinity)
-  | None -> Alcotest.fail "gaussian has a profile"
+    (Similarity.eval sim [| 0. |] [| 2. |])
 
 let test_cosine () =
   Alcotest.check close "parallel" 1.
@@ -75,9 +55,7 @@ let test_cosine () =
     (Similarity.eval Similarity.cosine [| 0.; 0. |] [| 1.; 1. |]);
   (* Negative cosine clamps to 0: similarities live in [0,1]. *)
   Alcotest.check close "anti-parallel clamps" 0.
-    (Similarity.eval Similarity.cosine [| 1. |] [| -1. |]);
-  Alcotest.(check bool) "no profile" true
-    (Similarity.dist_profile Similarity.cosine = None)
+    (Similarity.eval Similarity.cosine [| 1. |] [| -1. |])
 
 let test_similarity_spec () =
   (match Similarity.spec (Similarity.euclidean ~dim:3 ~range:7.) with
@@ -222,30 +200,6 @@ let test_instance_neighbors () =
   | Some (v, _) -> Alcotest.(check int) "tie by id" 0 v
   | None -> Alcotest.fail "missing neighbour"
 
-let test_instance_neighbors_scanned_backend () =
-  (* A custom similarity with no distance profile exercises the sorted-scan
-     backend; results must match manual sorting. *)
-  let matrix = [| [| 0.2; 0.9; 0. |]; [| 0.5; 0.5; 0.1 |] |] in
-  let sim =
-    Similarity.custom ~name:"m" (fun a b ->
-        matrix.(int_of_float a.(0)).(int_of_float b.(0)))
-  in
-  let mk n = Array.init n (fun id -> Entity.make ~id ~attrs:[| float_of_int id |] ~capacity:1) in
-  let t =
-    Instance.create ~sim ~events:(mk 2) ~users:(mk 3)
-      ~conflicts:(Conflict.create ~n_events:2) ()
-  in
-  (match Instance.event_neighbor t ~v:0 ~rank:1 with
-  | Some (1, s) -> Alcotest.check close "best user of v0" 0.9 s
-  | _ -> Alcotest.fail "wrong 1-NN");
-  (* sim = 0 pairs are excluded from enumeration. *)
-  Alcotest.(check bool) "v0 has exactly 2 positive neighbours" true
-    (Instance.event_neighbor t ~v:0 ~rank:3 = None);
-  (* Ties (0.5, 0.5) break by user id. *)
-  match Instance.user_neighbor t ~u:0 ~rank:1 with
-  | Some (v, _) -> Alcotest.(check int) "user 0 prefers event" 1 v
-  | None -> Alcotest.fail "missing"
-
 (* -- Matching -- *)
 
 let test_matching_lifecycle () =
@@ -347,7 +301,6 @@ let suite =
     Alcotest.test_case "entity make" `Quick test_entity_make;
     Alcotest.test_case "entity rejects" `Quick test_entity_rejects;
     Alcotest.test_case "euclidean formula (Eq. 1)" `Quick test_euclidean_formula;
-    Alcotest.test_case "euclidean profile" `Quick test_euclidean_profile;
     Alcotest.test_case "gaussian" `Quick test_gaussian;
     Alcotest.test_case "cosine" `Quick test_cosine;
     Alcotest.test_case "similarity spec" `Quick test_similarity_spec;
@@ -360,8 +313,6 @@ let suite =
     Alcotest.test_case "instance validation" `Quick test_instance_validation;
     Alcotest.test_case "instance neighbours (indexed)" `Quick
       test_instance_neighbors;
-    Alcotest.test_case "instance neighbours (scanned)" `Quick
-      test_instance_neighbors_scanned_backend;
     Alcotest.test_case "matching lifecycle" `Quick test_matching_lifecycle;
     Alcotest.test_case "matching rejections" `Quick test_matching_rejections;
     Alcotest.test_case "matching zero similarity" `Quick

@@ -1,7 +1,9 @@
-(* Extensions: the naive greedy oracle and local-search improvement. *)
+(* Extensions: Greedy-GEACC against its sort-all-pairs oracle, local-search
+   improvement and online arrivals. *)
 
 open Geacc_core
 module Synthetic = Geacc_datagen.Synthetic
+module Meetup = Geacc_datagen.Meetup
 
 let cfg =
   {
@@ -33,6 +35,24 @@ let test_naive_equals_heap_greedy_larger () =
     "identical at moderate scale"
     (Matching.pairs (Greedy_naive.solve t))
     (Matching.pairs (Greedy.solve t))
+
+(* The simulated Meetup cities at paper size. Their normalised tag vectors
+   make distinct distances collapse to one Equation-1 similarity, so each
+   event's neighbour list has exact-similarity ties that only the
+   (similarity desc, user id) stream order puts where the merge needs
+   them. *)
+let test_naive_equals_heap_greedy_meetup () =
+  List.iter
+    (fun (city : Meetup.city) ->
+      for seed = 1 to 6 do
+        let t = Meetup.generate ~seed ~capacities:Meetup.Cap_uniform city in
+        Alcotest.(check (list (pair int int)))
+          (Printf.sprintf "%s seed %d identical matchings" city.Meetup.name
+             seed)
+          (Matching.pairs (Greedy_naive.solve t))
+          (Matching.pairs (Greedy.solve t))
+      done)
+    [ Meetup.vancouver; Meetup.auckland; Meetup.singapore ]
 
 let test_local_search_never_worse () =
   for seed = 1 to 20 do
@@ -180,6 +200,8 @@ let suite =
       test_online_rejects_bad_order;
     Alcotest.test_case "naive greedy = heap greedy (larger)" `Quick
       test_naive_equals_heap_greedy_larger;
+    Alcotest.test_case "naive greedy = heap greedy (Meetup)" `Slow
+      test_naive_equals_heap_greedy_meetup;
     Alcotest.test_case "local search never worse" `Quick
       test_local_search_never_worse;
     Alcotest.test_case "local search bounded by optimum" `Quick

@@ -6,8 +6,8 @@
    - every algorithm's matching passes the independent [Validate] check;
    - the exact solvers agree with each other and dominate every
      approximation/baseline on MaxSum;
-   - the heap greedy and the sort-all-pairs naive greedy produce identical
-     arrangements (shared tie-breaking contract, see Greedy_naive docs).
+   - the heap greedy and the sort-all-pairs naive greedy oracle
+     ([Greedy_naive]) produce identical arrangements.
 
    Deterministic: instance shapes are derived from a seeded RNG, and every
    solver consumes a freshly-seeded RNG of its own. *)
@@ -103,7 +103,7 @@ let check_instance ~seed t =
   Alcotest.(check (list (pair int int)))
     (Printf.sprintf "seed %d: greedy = naive greedy" seed)
     (Matching.pairs (List.assoc Solver.Greedy results))
-    (Matching.pairs (List.assoc Solver.Greedy_naive results))
+    (Matching.pairs (Greedy_naive.solve t))
 
 let test_differential () =
   let shape_rng = Rng.create ~seed:20150413 in
@@ -123,10 +123,10 @@ let test_differential () =
    1e-6: the optimum is unique, but among exactly tied min-cost flows the
    two searches may route different pairs, so MaxSum after conflict
    resolution is only tie-equivalent. Instances come in two flavours:
-   Equation-1 similarity (cutoff = attribute-space diameter, so nothing
-   prunes) and a re-wrap of the same entities under a range/4 euclidean
-   profile, which drives a large fraction of pairs to similarity exactly 0
-   and makes the pruning path do real work. *)
+   Equation-1 similarity (zero only at the attribute-space diameter, so
+   nothing prunes) and a re-wrap of the same entities under a range/4
+   Equation-1 similarity, which drives a large fraction of pairs to
+   similarity exactly 0 and makes the pruning path do real work. *)
 let tighten instance =
   Instance.create
     ~sim:
