@@ -9,9 +9,8 @@ open Geacc_util
 module Synthetic = Geacc_datagen.Synthetic
 module Meetup = Geacc_datagen.Meetup
 module Harness = Geacc_bench.Harness
-module Pool = Geacc_par.Pool
 
-type profile = { full : bool; trials : int; jobs : int }
+type profile = { full : bool; trials : int }
 
 let default_trials = 3
 
@@ -38,36 +37,27 @@ let print_sweep_tables ~title ~xlabel ~rows ~algorithms =
       Table.print table)
     metrics
 
-(* Generic sweep over pre-labelled instance families, averaged trials. The
-   (point, seed) grid is flattened and distributed over the domain pool;
-   every cell's work is a function of its (point, seed) coordinates alone,
-   and per-point aggregation folds trials in seed order, so the printed
-   tables are identical for every [profile.jobs]. *)
+(* Generic sweep over pre-labelled instance families, averaged trials:
+   each point runs its trials (seeds 1..trials) and is aggregated before
+   the next point starts. *)
 let labelled_sweep ~profile ~title ~xlabel ~points
     ?(algorithms = fig34_algorithms) () =
-  let points = Array.of_list points in
-  let n_points = Array.length points and trials = profile.trials in
-  let cells = Array.init n_points (fun _ -> Array.make trials [||]) in
-  (* Progress goes out before the fan-out: a chunk body writing to stderr
-     would interleave nondeterministically across domains (and trips the
-     effects analyzer's par-nondet rule). *)
   Printf.eprintf "[bench] %s: %s in {%s}\n%!" title xlabel
-    (String.concat ", " (Array.to_list (Array.map fst points)));
-  Pool.parallel_for ~jobs:profile.jobs ~n:(n_points * trials) (fun i ->
-      let p = i / trials and t = i mod trials in
-      let _, make_instance = points.(p) in
-      let seed = t + 1 in
-      cells.(p).(t) <-
-        Array.of_list
-          (List.map
-             (* race: ok — measure's only mutable reaches are Audit.fail's counter (audits abort the run on any violation) and the domain-dependent peak sampler, whose mode each row reports explicitly *)
-             (fun a -> Harness.measure ~seed a (fun () -> make_instance ~seed))
-             algorithms));
+    (String.concat ", " (List.map fst points));
+  let algorithms_arr = Array.of_list algorithms in
   let rows =
-    Array.to_list
-      (Array.mapi
-         (fun p (label, _) -> (label, Harness.aggregate cells.(p)))
-         points)
+    List.map
+      (fun (label, make_instance) ->
+        let grid =
+          Array.init profile.trials (fun t ->
+              let seed = t + 1 in
+              Array.map
+                (fun a ->
+                  Harness.measure ~seed a (fun () -> make_instance ~seed))
+                algorithms_arr)
+        in
+        (label, Harness.aggregate grid))
+      points
   in
   print_sweep_tables ~title ~xlabel ~rows ~algorithms
 

@@ -95,20 +95,18 @@ let nn_stream_test =
            incr rank
          done))
 
-(* Multicore substrate: the parallelised network construction at jobs=1
-   (exact sequential path, the no-regression guard) and jobs=4 (domain-pool
-   path; gains scale with hardware threads). Outputs are byte-identical by
-   the pool's determinism contract — only the timing may differ. *)
+(* Network construction alone: the candidate scan, arc staging and the
+   CSR freeze, without the SSP. *)
 let mcf_instance =
   lazy
     (Synthetic.generate ~seed:1
        { Synthetic.default with Synthetic.n_events = 100; n_users = 1000 })
 
-let mcf_build_test ~jobs =
-  Test.make ~name:(Printf.sprintf "MCF network build (100x1000) jobs=%d" jobs)
+let mcf_build_test =
+  Test.make ~name:"MCF network build (100x1000)"
     (Staged.stage (fun () ->
          let instance = Lazy.force mcf_instance in
-         ignore (Geacc_core.Mincostflow.build_network ~jobs instance)))
+         ignore (Geacc_core.Mincostflow.build_network instance)))
 
 (* Budget polling overhead: the same solver run with a disarmed budget
    (the default) and with an armed budget whose deadline is far away, so
@@ -137,8 +135,7 @@ let tests =
       heap_test;
       dijkstra_test;
       nn_stream_test;
-      mcf_build_test ~jobs:1;
-      mcf_build_test ~jobs:4;
+      mcf_build_test;
     ]
 
 let run () =

@@ -306,22 +306,8 @@ let solve_cmd =
             "Comma-separated user arrival order for $(b,-a online); must be \
              a permutation of the user ids.")
   in
-  let jobs =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "jobs"; "j" ] ~docv:"N"
-          ~doc:
-            "Worker domains for the parallel phase (network construction). \
-             Defaults to $(b,GEACC_JOBS) or 1. Results are byte-identical \
-             for every N.")
-  in
   let run () instance_path algorithm out seed timeout stage_timeout
-      fallback max_retries order jobs =
-    (match jobs with
-    | None -> ()
-    | Some j when j >= 1 -> Geacc_par.Pool.set_default_jobs j
-    | Some j -> die "--jobs expects a positive integer, got %d" j);
+      fallback max_retries order =
     let instance = load_instance_or_die instance_path in
     match order with
     | Some order ->
@@ -342,18 +328,13 @@ let solve_cmd =
             m.Geacc_bench.Harness.maxsum m.Geacc_bench.Harness.matched_pairs
             (m.Geacc_bench.Harness.wall_s *. 1000.)
             (float_of_int m.Geacc_bench.Harness.live_bytes /. 1024.);
-          match out with
-          | None -> ()
-          | Some _ ->
-              let rng = Geacc_util.Rng.create ~seed in
-              write_matching_opt out (Solver.run ~rng algorithm instance)
+          write_matching_opt out m.Geacc_bench.Harness.matching
         end
   in
   let term =
     Term.(
       const run $ logs_term $ instance_arg $ algorithm $ out $ seed_arg
-      $ timeout $ stage_timeout $ fallback $ max_retries $ order
-      $ jobs)
+      $ timeout $ stage_timeout $ fallback $ max_retries $ order)
   in
   Cmd.v
     (Cmd.info "solve" ~doc:"Solve an instance and report MaxSum/time/memory.")

@@ -1,6 +1,5 @@
 open Geacc_util
 open Geacc_core
-module Pool = Geacc_par.Pool
 
 type measurement = {
   algorithm : Solver.algorithm;
@@ -8,7 +7,7 @@ type measurement = {
   matched_pairs : int;
   wall_s : float;
   live_bytes : int;
-  peak_mode : [ `Exact | `Gc_delta ];
+  matching : Matching.t;
 }
 
 let measure ?(seed = 42) algorithm make_instance =
@@ -19,7 +18,7 @@ let measure ?(seed = 42) algorithm make_instance =
     Measure.time (fun () ->
         Solver.run ~rng:(Rng.create ~seed) algorithm (make_instance ()))
   in
-  let peak_matching, peak_bytes, peak_mode =
+  let peak_matching, peak_bytes =
     Measure.run_with_peak (fun () ->
         Solver.run ~rng:(Rng.create ~seed) algorithm (make_instance ()))
   in
@@ -41,7 +40,7 @@ let measure ?(seed = 42) algorithm make_instance =
     matched_pairs = Matching.size matching;
     wall_s;
     live_bytes = peak_bytes;
-    peak_mode;
+    matching;
   }
 
 type aggregate = {
@@ -52,25 +51,6 @@ type aggregate = {
   mean_live_bytes : float;
 }
 
-let measure_grid ?jobs ~trials ~make_instance algorithms =
-  assert (trials >= 1);
-  let algos = Array.of_list algorithms in
-  let n_alg = Array.length algos in
-  assert (n_alg >= 1);
-  let grid = Array.make_matrix trials n_alg None in
-  (* Each trial is seeded by its own index, so the work a trial does — and
-     the instance it builds — is independent of which domain runs it. *)
-  Pool.parallel_for ?jobs ~n:trials (fun t ->
-      let seed = t + 1 in
-      for i = 0 to n_alg - 1 do
-        (* race: ok — each (t,i) cell is written exactly once by its own trial; measure's deeper reaches (Audit.fail's counter, the domain-dependent peak sampler) are benign and the peak mode is reported per row *)
-        grid.(t).(i) <- Some (measure ~seed algos.(i) (fun () -> make_instance ~seed))
-      done);
-  Array.map
-    (* parallel_for filled every cell before returning — lint: ok *)
-    (Array.map (function Some m -> m | None -> assert false))
-    grid
-
 let aggregate (grid : measurement array array) =
   let trials = Array.length grid in
   assert (trials >= 1);
@@ -80,8 +60,8 @@ let aggregate (grid : measurement array array) =
         (grid.(0).(i).algorithm, Stats.create (), Stats.create (),
          Stats.create ()))
   in
-  (* Accumulate in (trial, algorithm) order — the sequential order — so the
-     float means are byte-identical however the grid was filled. *)
+  (* Accumulate in (trial, algorithm) order, so each mean sums its trials
+     in ascending-seed order. *)
   for t = 0 to trials - 1 do
     for i = 0 to n_alg - 1 do
       let m = grid.(t).(i) in
@@ -102,9 +82,6 @@ let aggregate (grid : measurement array array) =
            mean_live_bytes = Stats.mean s_mem;
          })
        stats)
-
-let average ?jobs ~trials ~make_instance algorithms =
-  aggregate (measure_grid ?jobs ~trials ~make_instance algorithms)
 
 let metric which agg =
   match which with

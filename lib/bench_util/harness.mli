@@ -11,11 +11,7 @@ type measurement = {
   matched_pairs : int;
   wall_s : float;
   live_bytes : int;   (** Peak live-heap growth during the solve call. *)
-  peak_mode : [ `Exact | `Gc_delta ];
-      (** Which estimator produced [live_bytes]: the main-domain sampler
-          ([`Exact]) or the worker-domain retained-growth fallback
-          ([`Gc_delta], an underestimate). See
-          {!Geacc_util.Measure.run_with_peak}. *)
+  matching : Geacc_core.Matching.t;  (** The timed run's arrangement. *)
 }
 
 val measure :
@@ -36,34 +32,10 @@ type aggregate = {
   mean_live_bytes : float;
 }
 
-val measure_grid :
-  ?jobs:int ->
-  trials:int ->
-  make_instance:(seed:int -> Geacc_core.Instance.t) ->
-  Geacc_core.Solver.algorithm list ->
-  measurement array array
-(** [measure_grid ~trials ~make_instance algos] measures every algorithm on
-    [trials] instances (seeds 1..trials); element [(t)(i)] is trial [t+1] of
-    the [i]-th algorithm. Trials are distributed over the domain pool
-    ([jobs] defaults to {!Geacc_par.Pool.default_jobs}); each trial's seed
-    is a function of its index alone, so the grid's contents — modulo wall
-    times and worker-domain memory readings, see
-    {!Geacc_util.Measure.run_with_peak} — do not depend on the job count. *)
-
 val aggregate : measurement array array -> aggregate list
-(** Per-algorithm means of a {!measure_grid} result, folding trials in
-    ascending-seed order so the float sums are byte-identical regardless of
-    the job count that produced the grid. *)
-
-val average :
-  ?jobs:int ->
-  trials:int ->
-  make_instance:(seed:int -> Geacc_core.Instance.t) ->
-  Geacc_core.Solver.algorithm list ->
-  aggregate list
-(** [average ~trials ~make_instance algos] builds [trials] instances with
-    seeds 1..trials and measures every algorithm on each; per-algorithm
-    means, in the order given. [{!aggregate} ∘ {!measure_grid}]. *)
+(** Per-algorithm means of a trials × algorithms grid: element [(t)(i)] is
+    trial [t+1] of the [i]-th algorithm, and every row lists the algorithms
+    in the same order. Trials are folded in ascending order. *)
 
 val metric :
   [ `Maxsum | `Time_ms | `Memory_mb ] -> aggregate -> float

@@ -64,22 +64,30 @@ let solve_anytime ?(deadline = Budget.unlimited) instance =
       match Heap.pop st.heap with
       | None -> true
       | Some { v; u; _ } ->
-          (match Matching.add st.matching ~v ~u with
-          | Ok _ | Error _ -> ());
+          let added =
+            match Matching.add st.matching ~v ~u with
+            | Ok _ -> true
+            | Error _ -> false
+          in
           if Matching.remaining_event_capacity st.matching v > 0 then
             refill_event st v;
           (* Audit at the step granularity: a conflict or capacity overflow is
              reported at the pop that introduced it, with the heap's structure
-             checked alongside the partial matching. *)
+             checked alongside. Only the pair just added can break a
+             constraint, so the step checks that pair; the whole matching is
+             audited once, when the loop ends. *)
           if Audit.enabled () then begin
             Audit.Heap.check_binary ~site:"Greedy.solve/pop" st.heap;
-            Validate.audit_matching ~site:"Greedy.solve/pop" st.matching
+            if added then
+              Validate.audit_added_pair ~site:"Greedy.solve/pop" st.matching
+                ~v ~u
           end;
           loop ()
   in
   let complete = loop () in
-  if not complete then
-    Validate.audit_matching ~site:"Greedy.solve/degraded" st.matching;
+  Validate.audit_matching
+    ~site:(if complete then "Greedy.solve/end" else "Greedy.solve/degraded")
+    st.matching;
   (st.matching, complete)
 
 let solve instance = fst (solve_anytime instance)

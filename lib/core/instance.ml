@@ -116,10 +116,9 @@ let user_neighbor t ~u ~rank =
 let prepare_event_queries (_ : t) = ()
 
 (* Similarity-pruned candidate set of one event, for the flow network
-   builder: one ascending-u scan that touches no per-node cache, so
-   concurrent calls from pool workers are safe. Under a fault plan each
-   read with a positive clean similarity passes through the [injected_sim]
-   chokepoint, so [sim.*] plans reach the flow build. *)
+   builder: one ascending-u scan that touches no per-node cache. Under a
+   fault plan each read with a positive clean similarity passes through the
+   [injected_sim] chokepoint, so [sim.*] plans reach the flow build. *)
 let candidate_users t ~v =
   let lv = t.events.(v).Entity.attrs in
   let acc = ref [] and count = ref 0 in

@@ -71,8 +71,8 @@ val candidate_users : t -> v:int -> (int * float) array
     [s = sim t ~v ~u] and [s > 0], in ascending user id. Similarities are
     bitwise-identical to {!sim}; under a fault plan each read passes
     through the same [sim.*] injection point as {!sim} when its clean
-    similarity is positive. Unlike {!event_neighbor} this writes no
-    per-node caches, so concurrent calls are safe. *)
+    similarity is positive. Unlike {!event_neighbor} this opens no
+    neighbour stream. *)
 
 val with_conflicts : t -> Conflict.t -> t
 (** The same instance (entities, similarity and opened neighbour streams

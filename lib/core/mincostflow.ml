@@ -2,7 +2,6 @@ module Graph = Geacc_flow.Graph
 module Mcf = Geacc_flow.Mcf
 module Audit = Geacc_check.Audit
 module Fault = Geacc_robust.Fault
-module Pool = Geacc_par.Pool
 
 (* Quantisation grid: costs 1 - sim ∈ [0, 1] round to [0, 2^30], the
    ceiling [Mcf.max_cost] the SSP overflow bound is derived for. Rounding
@@ -65,15 +64,11 @@ let audit_pruned_pairs ~site instance g ~n_v ~n_u =
     done
   done
 
-let build_network ?jobs instance =
+let build_network instance =
   (* [mcf.alloc] simulates the network arena failing to materialise (the
      arc array is this solver's dominant allocation); the fallback harness
      treats the injected exception as a transient fault. *)
   Fault.inject "mcf.alloc";
-  (* Under a fault plan the candidate queries run sequentially, so [sim.*]
-     hit counters (reached through [Instance.candidate_users]) fire in
-     plan order. *)
-  let jobs = if Fault.active () then Some 1 else jobs in
   let n_v = Instance.n_events instance and n_u = Instance.n_users instance in
   let source = 0 in
   let event_node v = 1 + v in
@@ -85,22 +80,15 @@ let build_network ?jobs instance =
      [Σ_v |cand v|] arcs instead of |V|·|U|. A zero-similarity arc would
      cost exactly 1, and the SSP loop stops before any unit whose path
      cost reaches 1, so no unit of the final flow could ever cross one.
-     The per-event candidate sets are computed in parallel per event-chunk
-     (each cell a function of its event id alone, so byte-identical for
-     every job count); degree counting then pre-sizes the staging list
-     exactly, and the sequential v-major, u-ascending emission fixes edge
+     One v-ascending pass collects the candidate sets (so [sim.*] fault
+     counters fire in event order); degree counting then pre-sizes the
+     staging list exactly, and the v-major, u-ascending emission fixes edge
      ids — and hence the frozen scan order — by (v, u) rank. *)
-  let cand_chunks =
-    Pool.parallel_map_chunked ?jobs ~n:n_v (fun ~lo ~hi ->
-        Array.init (hi - lo) (fun i ->
-            (* race: ok — candidate_users only reads the shared entities and similarity; the only mutable reach is Fault.fire's counters, and a fault plan forces jobs = 1 *)
-            Instance.candidate_users instance ~v:(lo + i)))
+  let candidates =
+    Array.init n_v (fun v -> Instance.candidate_users instance ~v)
   in
   let pair_arcs =
-    Array.fold_left
-      (fun acc chunk ->
-        Array.fold_left (fun acc c -> acc + Array.length c) acc chunk)
-      0 cand_chunks
+    Array.fold_left (fun acc c -> acc + Array.length c) 0 candidates
   in
   Graph.reserve g ~arcs:(n_v + pair_arcs + n_u);
   for v = 0 to n_v - 1 do
@@ -109,27 +97,14 @@ let build_network ?jobs instance =
          ~capacity:(Instance.event_capacity instance v) ~icost:0)
   done;
   Array.iteri
-    (fun c chunk ->
-      let lo =
-        (* Chunks tile [0, n_v) contiguously in order; recover the chunk's
-           base event id from the preceding chunk sizes. *)
-        let base = ref 0 in
-        for i = 0 to c - 1 do
-          base := !base + Array.length cand_chunks.(i)
-        done;
-        !base
-      in
-      Array.iteri
-        (fun i candidates ->
-          let v = lo + i in
-          Array.iter
-            (fun (u, s) ->
-              ignore
-                (Graph.add_arc g ~src:(event_node v) ~dst:(user_node u)
-                   ~capacity:1 ~icost:(quantise ~v ~u s)))
-            candidates)
-        chunk)
-    cand_chunks;
+    (fun v cands ->
+      Array.iter
+        (fun (u, s) ->
+          ignore
+            (Graph.add_arc g ~src:(event_node v) ~dst:(user_node u)
+               ~capacity:1 ~icost:(quantise ~v ~u s)))
+        cands)
+    candidates;
   for u = 0 to n_u - 1 do
     ignore
       (Graph.add_arc g ~src:(user_node u) ~dst:sink
@@ -141,10 +116,10 @@ let build_network ?jobs instance =
       ~n_u;
   { graph = g; source; sink; pair_arcs }
 
-let solve_with_stats ?deadline ?jobs instance =
+let solve_with_stats ?deadline instance =
   let n_v = Instance.n_events instance in
   let n_u = Instance.n_users instance in
-  let net = build_network ?jobs instance in
+  let net = build_network instance in
   let g = net.graph and source = net.source and sink = net.sink in
   (* A unit of flow adds 1 - path_cost to MaxSum; path costs only grow, so
      stopping before the first non-improving unit lands on the Δ with the
@@ -235,5 +210,4 @@ let solve_with_stats ?deadline ?jobs instance =
       timed_out = outcome.Mcf.itimed_out;
     } )
 
-let solve ?deadline ?jobs instance =
-  fst (solve_with_stats ?deadline ?jobs instance)
+let solve ?deadline instance = fst (solve_with_stats ?deadline instance)

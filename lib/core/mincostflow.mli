@@ -59,32 +59,24 @@ type stats = {
                                 is feasible but may miss the argmax Δ. *)
 }
 
-val build_network : ?jobs:int -> Instance.t -> net
-(** The Step-1 network, frozen ({!Geacc_flow.Graph.finalize_csr}). [jobs]
-    (default {!Geacc_par.Pool.default_jobs}) parallelises the candidate
-    queries per event-chunk; arc emission stays sequential and v-major with
-    u ascending, so arc ids — and hence the SSP pivoting order and the
-    final flow — are byte-identical for every job count. When a fault plan
-    is active the queries run sequentially so [sim.*] hit counters replay
-    in plan order. Under [GEACC_AUDIT=1] the
-    build additionally proves every pruned pair has zero similarity.
+val build_network : Instance.t -> net
+(** The Step-1 network, frozen ({!Geacc_flow.Graph.finalize_csr}). The
+    candidate queries run in one v-ascending pass, so [sim.*] fault hit
+    counters replay in plan order; arcs are emitted v-major with u
+    ascending, which fixes arc ids — and hence the SSP pivoting order and
+    the final flow. Under [GEACC_AUDIT=1] the build additionally proves
+    every pruned pair has zero similarity.
     Exposed for the determinism tests, audits and benchmarks.
     @raise Geacc_robust.Fault.Injected when the [mcf.alloc] point fires.
     @raise Invalid_argument when a candidate similarity lies outside
     [\[0, 1\]] (its cost has no grid point). *)
 
-val solve :
-  ?deadline:Geacc_robust.Budget.t -> ?jobs:int -> Instance.t -> Matching.t
+val solve : ?deadline:Geacc_robust.Budget.t -> Instance.t -> Matching.t
 (** [deadline] (default: unlimited) is polled between augmentations of the
     underlying SSP loop; on expiry the partial flow — a valid min-cost flow
     of its own amount — is resolved into a feasible matching as usual.
-    [jobs] is passed to {!build_network}. The solve itself is sequential
-    and its output independent of the job count.
     @raise Invalid_argument as {!build_network} does, or when the network
     lies outside {!Geacc_flow.Mcf.solve_int}'s overflow bound. *)
 
 val solve_with_stats :
-  ?deadline:Geacc_robust.Budget.t ->
-  ?jobs:int ->
-  Instance.t ->
-  Matching.t * stats
+  ?deadline:Geacc_robust.Budget.t -> Instance.t -> Matching.t * stats

@@ -104,3 +104,27 @@ let audit_matching ~site m =
         Geacc_check.Audit.failf ~site "%s (first of %d violations)"
           (Format.asprintf "%a" pp_violation v)
           (List.length vs)
+
+let audit_added_pair ~site m ~v ~u =
+  if Geacc_check.Audit.enabled () then begin
+    let instance = Matching.instance m in
+    let fail violation =
+      Geacc_check.Audit.failf ~site "%s (after adding (v%d,u%d))"
+        (Format.asprintf "%a" pp_violation violation)
+        v u
+    in
+    let load = Matching.event_load m v in
+    let capacity = Instance.event_capacity instance v in
+    if load > capacity then fail (Event_over_capacity { v; load; capacity });
+    let load = Matching.user_load m u in
+    let capacity = Instance.user_capacity instance u in
+    if load > capacity then fail (User_over_capacity { u; load; capacity });
+    let cf = Instance.conflicts instance in
+    List.iter
+      (fun v' ->
+        if v' <> v && Conflict.mem cf v v' then
+          fail
+            (Conflicting_assignment
+               { u; v1 = Stdlib.min v v'; v2 = Stdlib.max v v' }))
+      (Matching.user_events m u)
+  end

@@ -32,4 +32,13 @@ val audit_matching : site:string -> Matching.t -> unit
     {!check_matching} and raises [Geacc_check.Audit.Violation] carrying the
     first violation found. No-op when auditing is disabled. *)
 
+val audit_added_pair : site:string -> Matching.t -> v:int -> u:int -> unit
+(** Audit hook for one step of a solver that only ever adds pairs: when
+    auditing is enabled, checks the constraints the pair [{v,u}] just added
+    can have broken — [v]'s and [u]'s capacities, and conflicts between [v]
+    and [u]'s other events — in O(deg u), and raises
+    [Geacc_check.Audit.Violation] on the first one broken. Pairs added
+    earlier are not re-checked; {!audit_matching} covers the whole
+    matching. *)
+
 val pp_violation : Format.formatter -> violation -> unit

@@ -31,20 +31,6 @@ let run f =
    (which walks the heap and counts live words) is slower but
    deterministic. *)
 let run_with_peak f =
-  if not (Domain.is_main_domain ()) then begin
-    (* On a worker domain neither [Gc.full_major] nor a sampler thread is
-       safe to pay for: the full major would stop every domain in the pool,
-       and [Gc.stat] reports process-wide numbers that other domains keep
-       moving, so a "peak" sampled here would attribute their allocation to
-       this run. Fall back to the retained-growth delta — an underestimate
-       of the true peak, but one that is at least monotone in this run's
-       own retention. *)
-    let before = (Gc.stat ()).Gc.live_words in
-    let x = f () in
-    let after = (Gc.stat ()).Gc.live_words in
-    (x, Stdlib.max 0 ((after - before) * word_bytes), `Gc_delta)
-  end
-  else begin
   Gc.full_major ();
   let baseline = (Gc.stat ()).Gc.live_words in
   let peak = ref baseline in
@@ -76,10 +62,7 @@ let run_with_peak f =
   in
   (* The final working set may be larger than at the last sample. *)
   observe ();
-  (x, Stdlib.max 0 ((!peak - baseline) * word_bytes), `Exact)
-  end
-
-let peak_mode_label = function `Exact -> "exact" | `Gc_delta -> "gc-delta"
+  (x, Stdlib.max 0 ((!peak - baseline) * word_bytes))
 
 let pp_sample ppf s =
   Format.fprintf ppf "%.3fms live=%.1fKB top=%.1fKB" (s.wall_s *. 1000.)

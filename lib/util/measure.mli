@@ -6,10 +6,10 @@
     - {!run} reports the {e retained} growth of the live heap across the
       call (cheap, but transient working sets — e.g. a flow network freed on
       return — do not show);
-    - {!run_with_peak} additionally samples the live heap at every major
-      collection during the call via a GC alarm, reporting the {e peak}
-      working set. Sampling walks the heap, so the wall time of such a run
-      is inflated — use a separate {!time}/{!run} call for timing. *)
+    - {!run_with_peak} additionally samples the live heap from a sampler
+      thread during the call, reporting the {e peak} working set. Sampling
+      walks the heap, so the wall time of such a run is inflated — use a
+      separate {!time}/{!run} call for timing. *)
 
 type sample = {
   wall_s : float;        (** Elapsed wall-clock seconds. *)
@@ -24,24 +24,9 @@ val run : (unit -> 'a) -> 'a * sample
 (** [run f] measures [f ()] for time and retained memory. Performs two major
     GCs; use {!time} in tight loops. *)
 
-val run_with_peak : (unit -> 'a) -> 'a * int * [ `Exact | `Gc_delta ]
-(** [run_with_peak f] returns [f ()], the peak live-heap growth in bytes
-    observed during the call (at major-collection boundaries and at
-    return), and the measurement mode that produced the number.
-
-    Multi-domain caveat: the sampler thread and its forced major GCs run
-    only when called from the main domain, which reports [`Exact]. On a
-    pool worker domain the function degrades to a cheap [Gc.stat]
-    live-words delta — no sampler, no [Gc.full_major] (which would stop the
-    whole pool) — because the GC counters are process-wide and concurrent
-    domains would otherwise be charged to this run; that path reports
-    [`Gc_delta]. [`Gc_delta] peaks are underestimates; for faithful peaks,
-    measure from the main domain with the pool idle. The tag travels with
-    every number so downstream reports (bench JSON rows) can state which
-    estimator produced it instead of silently mixing the two. *)
-
-val peak_mode_label : [ `Exact | `Gc_delta ] -> string
-(** ["exact"] or ["gc-delta"] — the spelling used in bench JSON rows. *)
+val run_with_peak : (unit -> 'a) -> 'a * int
+(** [run_with_peak f] returns [f ()] and the peak live-heap growth in bytes
+    observed during the call (by a sampler thread and at return). *)
 
 val live_bytes : unit -> int
 (** Current live heap in bytes after a forced major collection. *)

@@ -4,6 +4,8 @@ open Geacc_util
 module Synthetic = Geacc_datagen.Synthetic
 module Harness = Geacc_bench.Harness
 module Solver = Geacc_core.Solver
+module Matching = Geacc_core.Matching
+module Greedy = Geacc_core.Greedy
 
 let test_time () =
   let x, elapsed = Measure.time (fun () -> Array.init 100_000 Fun.id) in
@@ -19,13 +21,10 @@ let test_run_reports_retained () =
   Alcotest.(check bool) "time recorded" true (sample.Measure.wall_s >= 0.)
 
 let test_run_with_peak_sees_retained () =
-  let x, peak, mode = Measure.run_with_peak (fun () -> Array.make 500_000 0.) in
+  let x, peak = Measure.run_with_peak (fun () -> Array.make 500_000 0.) in
   Alcotest.(check int) "result returned" 500_000 (Array.length x);
   Alcotest.(check bool) "peak covers the retained array" true
-    (peak > 3_000_000);
-  (* The test runner calls from the main domain, so the sampler mode — not
-     the worker-domain Gc-delta fallback — must be reported. *)
-  Alcotest.(check string) "mode" "exact" (Measure.peak_mode_label mode)
+    (peak > 3_000_000)
 
 let test_run_with_peak_propagates_exceptions () =
   Alcotest.check_raises "exception passes through" Exit (fun () ->
@@ -47,18 +46,41 @@ let test_harness_measure () =
   Alcotest.(check bool) "pairs matched" true (m.Harness.matched_pairs > 0);
   Alcotest.(check bool) "maxsum positive" true (m.Harness.maxsum > 0.);
   Alcotest.(check bool) "time non-negative" true (m.Harness.wall_s >= 0.);
-  Alcotest.(check string) "peak mode recorded" "exact"
-    (Measure.peak_mode_label m.Harness.peak_mode)
+  (* The returned arrangement is the measured one: same pairs as a fresh
+     run of the solver, and the reported figures are its figures. *)
+  Alcotest.(check (list (pair int int)))
+    "timed run's matching" (Matching.pairs (Greedy.solve (make ())))
+    (Matching.pairs m.Harness.matching);
+  Alcotest.(check int) "pair count" (Matching.size m.Harness.matching)
+    m.Harness.matched_pairs;
+  Alcotest.(check (float 0.)) "maxsum" (Matching.maxsum m.Harness.matching)
+    m.Harness.maxsum
 
-let test_harness_average_deterministic_algorithms () =
-  let make ~seed = Synthetic.generate ~seed tiny_cfg in
-  let aggregates =
-    Harness.average ~trials:3 ~make_instance:make
-      [ Solver.Greedy; Solver.Prune ]
+(* A trials × algorithms grid, as the bench sweeps build it: aggregates come
+   back per algorithm, in grid column order, averaged over the trials. *)
+let test_harness_aggregate () =
+  let algorithms = [| Solver.Greedy; Solver.Prune |] in
+  let grid =
+    Array.init 3 (fun t ->
+        let seed = t + 1 in
+        Array.map
+          (fun a ->
+            Harness.measure ~seed a (fun () ->
+                Synthetic.generate ~seed tiny_cfg))
+          algorithms)
   in
-  match aggregates with
+  match Harness.aggregate grid with
   | [ greedy; prune ] ->
       Alcotest.(check int) "trials recorded" 3 greedy.Harness.trials;
+      Alcotest.(check bool) "column order kept" true
+        (greedy.Harness.algorithm = Solver.Greedy
+        && prune.Harness.algorithm = Solver.Prune);
+      let mean i =
+        Array.fold_left (fun acc row -> acc +. row.(i).Harness.maxsum) 0. grid
+        /. 3.
+      in
+      Alcotest.(check (float 1e-9)) "greedy mean" (mean 0)
+        greedy.Harness.mean_maxsum;
       Alcotest.(check bool) "prune >= greedy on average" true
         (prune.Harness.mean_maxsum +. 1e-9 >= greedy.Harness.mean_maxsum)
   | _ -> Alcotest.fail "two aggregates expected"
@@ -88,7 +110,6 @@ let suite =
     Alcotest.test_case "peak propagates exceptions" `Quick
       test_run_with_peak_propagates_exceptions;
     Alcotest.test_case "harness measure" `Quick test_harness_measure;
-    Alcotest.test_case "harness average" `Quick
-      test_harness_average_deterministic_algorithms;
+    Alcotest.test_case "harness aggregate" `Quick test_harness_aggregate;
     Alcotest.test_case "metric projection" `Quick test_metric_projection;
   ]

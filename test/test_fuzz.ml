@@ -137,9 +137,9 @@ let tighten instance =
     ~conflicts:(Instance.conflicts instance)
     ()
 
-let check_against_oracle ~label ?jobs instance =
+let check_against_oracle ~label instance =
   let oracle = Ssp_oracle.mincostflow instance in
-  let m, stats = Mincostflow.solve_with_stats ?jobs instance in
+  let m, stats = Mincostflow.solve_with_stats instance in
   (match Validate.check_matching m with
   | [] -> ()
   | violations ->
@@ -157,9 +157,9 @@ let check_against_oracle ~label ?jobs instance =
     (Matching.maxsum m);
   stats
 
-(* Per attribute model (uniform / Zipf / normal mixture) and for jobs ∈
-   {1, 2, 4}: the pruned network must never hold more pair arcs than the
-   dense one, and the sweep must actually prune somewhere. *)
+(* Per attribute model (uniform / Zipf / normal mixture): the pruned
+   network must never hold more pair arcs than the dense one, and the sweep
+   must actually prune somewhere. *)
 let test_dense_sparse_identical () =
   let attr_models =
     [
@@ -187,21 +187,17 @@ let test_dense_sparse_identical () =
         let base = Synthetic.generate ~seed cfg in
         List.iter
           (fun (flavour, instance) ->
-            List.iter
-              (fun jobs ->
-                let label =
-                  Printf.sprintf "%s/%s seed=%d jobs=%d" model_name flavour
-                    seed jobs
-                in
-                let stats = check_against_oracle ~label ~jobs instance in
-                let all_pairs =
-                  Instance.n_events instance * Instance.n_users instance
-                in
-                if stats.Mincostflow.pair_arcs > all_pairs then
-                  Alcotest.failf "%s: more arcs than |V|·|U|" label;
-                pruned_arcs_seen :=
-                  !pruned_arcs_seen + all_pairs - stats.Mincostflow.pair_arcs)
-              [ 1; 2; 4 ])
+            let label =
+              Printf.sprintf "%s/%s seed=%d" model_name flavour seed
+            in
+            let stats = check_against_oracle ~label instance in
+            let all_pairs =
+              Instance.n_events instance * Instance.n_users instance
+            in
+            if stats.Mincostflow.pair_arcs > all_pairs then
+              Alcotest.failf "%s: more arcs than |V|·|U|" label;
+            pruned_arcs_seen :=
+              !pruned_arcs_seen + all_pairs - stats.Mincostflow.pair_arcs)
           [ ("eq1", base); ("tight", tighten base) ]
       done)
     attr_models;
@@ -231,7 +227,7 @@ let test_int_float_kernels () =
     List.iter
       (fun (flavour, instance) ->
         let label = Printf.sprintf "%s seed=%d" flavour seed in
-        ignore (check_against_oracle ~label ~jobs:1 instance : Mincostflow.stats))
+        ignore (check_against_oracle ~label instance : Mincostflow.stats))
       [ ("eq1", base); ("tight", tighten base) ]
   done
 

@@ -8,12 +8,9 @@
    because they need types, resolved paths, or the cross-module view:
 
    - [hot-loop-alloc]     per-iteration allocation inside the hot loops —
-                          [while]/[for] bodies, [let rec] function bodies
-                          and [parallel_for]/[parallel_map_chunked]/
-                          [parallel_reduce] chunk bodies (which run once per
-                          chunk) of the hot-path modules (lib/flow,
-                          lib/pqueue, lib/index, lib/par):
-                          tuple/record/array/constructor
+                          [while]/[for] bodies and [let rec] function bodies
+                          of the hot-path modules (lib/flow, lib/pqueue,
+                          lib/index): tuple/record/array/constructor
                           and polymorphic-variant blocks, closures, partial
                           applications, lazy blocks, ref cells, let-bound
                           floats boxed by a non-[@inline] call, and
@@ -36,8 +33,7 @@
 
 (* The hot-loop rule is scoped to the paper's inner-loop modules; the
    reachability rule is scoped to all library and binary code. *)
-let hot_markers =
-  [ "lib/flow/"; "lib/pqueue/"; "lib/index/"; "lib/par/" ]
+let hot_markers = [ "lib/flow/"; "lib/pqueue/"; "lib/index/" ]
 let scope_markers = [ "lib/"; "bin/" ]
 let trusted_markers = [ "lib/check/" ]
 let suppression_tags = [ "alloc" ]
@@ -192,19 +188,6 @@ let cmp_arg_type fn_ty =
   match Types.get_desc fn_ty with
   | Types.Tarrow (_, t1, _, _) -> Some t1
   | _ -> None
-
-(* A chunk body handed to the domain pool runs once per chunk — a loop in
-   disguise — so function-literal arguments of these combinators are walked
-   as loop context (the lambda's parameter spine itself is allocated once
-   per call, not per chunk, and stays cold). *)
-let parallel_combinators =
-  [ "parallel_for"; "parallel_map_chunked"; "parallel_reduce" ]
-
-let is_parallel_combinator (f : Typedtree.expression) =
-  match f.exp_desc with
-  | Typedtree.Texp_ident (path, _, _) ->
-      List.exists (String.equal (Path.last path)) parallel_combinators
-  | _ -> false
 
 (* The typer wraps an argument [e] passed to an optional parameter as
    [Some e] sharing [e]'s exact location; a [Some] the programmer wrote
@@ -419,17 +402,6 @@ let scan_structure ~unit_name str =
           (fun (vb : Typedtree.value_binding) -> walk_rec_body st it vb.vb_expr)
           vbs;
         it.expr it body
-    | Texp_apply (f, args) when is_parallel_combinator f ->
-        it.expr it f;
-        List.iter
-          (fun ((_, arg) : _ * Typedtree.expression option) ->
-            match arg with
-            | Some a -> (
-                match a.exp_desc with
-                | Texp_function _ -> walk_rec_body st it a
-                | _ -> it.expr it a)
-            | None -> ())
-          args
     | _ -> default_iterator.expr it e
   in
   let value_binding it (vb : Typedtree.value_binding) =
